@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import CyclotomicElement, _poly_divmod, cyclotomic_polynomial
 from .lattice import (
     IntMatrix,
     hermite_normal_form,
@@ -51,7 +51,7 @@ EXACT = "exact"
 class RingData:
     """Ring of integers of a builtin field in its power basis."""
 
-    __slots__ = ("name", "cyclo_n", "degree", "basis", "unit_generators")
+    __slots__ = ("name", "cyclo_n", "degree", "basis", "unit_generators", "_powers")
 
     def __init__(self, name, cyclo_n, unit_gen_coords, unit_orders):
         self.name = name
@@ -68,6 +68,10 @@ class RingData:
             else:
                 basis.append(CyclotomicElement.zeta(cyclo_n, k))
         self.basis = tuple(basis)
+        # coordinates of zeta^k for k = 0 .. 2(d-1), the products of two basis vectors
+        self._powers = tuple(
+            self.coords(CyclotomicElement.zeta(cyclo_n, k)) for k in range(2 * degree - 1)
+        )
         gens = tuple(self.from_coords(c) for c in unit_gen_coords)
         for gen, order in zip(gens, unit_orders):
             self._verify_unit(gen, order)
@@ -99,21 +103,20 @@ class RingData:
         return CyclotomicElement(self.cyclo_n, tuple(vals))
 
     def torsion_units(self) -> Tuple[CyclotomicElement, ...]:
-        one = CyclotomicElement.one(self.cyclo_n)
-        group = {self.coords(one): one}
-        frontier = [one]
-        gens = [-one]
+        one = self._powers[0]
+        gens = [self.coord_rows(tuple(-c for c in one))]
         if self.cyclo_n > 1:
-            gens.append(CyclotomicElement.zeta(self.cyclo_n, 1))
+            gens.append(self.coord_rows(self._powers[1]))
+        group = {one: None}
+        frontier = [one]
         while frontier:
             current = frontier.pop()
-            for g in gens:
-                nxt = current * g
-                key = self.coords(nxt)
-                if key not in group:
-                    group[key] = nxt
+            for rows in gens:
+                nxt = self.times_rows(current, rows)
+                if nxt not in group:
+                    group[nxt] = None
                     frontier.append(nxt)
-        return tuple(group.values())
+        return tuple(self.from_coords(c) for c in group)
 
     def coords(self, element: CyclotomicElement) -> Tuple[int, ...]:
         out = []
@@ -123,9 +126,24 @@ class RingData:
             out.append(int(c))
         return tuple(out)
 
+    def coord_rows(self, coords) -> List[List[int]]:
+        """Row i holds the coordinates of x * basis[i], x given by its coordinates."""
+        d = self.degree
+        powers = self._powers
+        return [
+            [sum(coords[k] * powers[k + i][j] for k in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+
+    def times_rows(self, coords, rows) -> Tuple[int, ...]:
+        """Coordinates of x * y from those of x and the coord_rows of y."""
+        return tuple(
+            sum(c * row[j] for c, row in zip(coords, rows)) for j in range(self.degree)
+        )
+
     def multiplication_rows(self, element: CyclotomicElement) -> IntMatrix:
         """Rows are the coordinates of element * basis[i]."""
-        return IntMatrix([self.coords(element * b) for b in self.basis])
+        return IntMatrix(self.coord_rows(self.coords(element)))
 
 
 _BUILTIN_RINGS = {
@@ -274,48 +292,116 @@ def _splitting_data(ring: RingData, p: int) -> Tuple[int, int]:
     return f, ring.degree // f
 
 
-def _prime_generators(ring: RingData, p: int, f: int, g: int) -> List[CyclotomicElement]:
-    """Deterministic generators for the g primes above p, each of norm p**f.
+def _ideal_generator_polys(ring: RingData, p: int, f: int) -> List[Tuple[int, ...]]:
+    """One polynomial h per prime above p, so that the prime is (p, h(zeta)).
 
-    Each generator is normalized to the associate with the largest
-    coefficient tuple under the torsion units, so 2 is preferred to -2
-    and 1 + i to -1 - i.
+    Each h is a monic irreducible factor of Phi_n mod p, found by trial:
+    Phi_n itself when p is inert, x - r for each root r when f = 1 (for a
+    ramified p the only root is r = 1), and x^2 - t x + 1 when f = 2 and
+    p = -1 mod n, where Frobenius pairs each root with its inverse.
+    Polynomials are listed low to high.
     """
+    n = ring.cyclo_n
+    phi = cyclotomic_polynomial(n)
+    if f == ring.degree:
+        return [phi]
+    if f == 1:
+        return [
+            (-r, 1) for r in range(p)
+            if sum(c * pow(r, k, p) for k, c in enumerate(phi)) % p == 0
+        ]
+    if f == 2 and (p + 1) % n == 0:
+        return [
+            (1, -t, 1) for t in range(p)
+            if all(c % p == 0 for c in _poly_divmod(phi, (1, -t, 1))[1])
+        ]
+    raise ValueError("no prime ideal construction for residue degree %d" % f)
+
+
+def _lattice_shell(h: Sequence[Sequence[int]], height: int):
+    """Points of the lattice spanned by the rows of the upper triangular h
+    with max |coordinate| == height, in increasing coordinate order.
+
+    Each coordinate x_j runs over x_j = prefix_j + c * h[j][j] in [-height,
+    height], back-substituted row by row, so the walk is lexicographic.
+    """
+    d = len(h)
+
+    def walk(j, x, on_shell):
+        row = h[j]
+        piv = row[j]
+        if j == d - 1:
+            ends = range(-height, height + 1) if on_shell else (-height, height)
+            for v in ends:
+                if (v - x[j]) % piv == 0:
+                    yield tuple(x[:j]) + (v,)
+            return
+        for c in range(-((height + x[j]) // piv), (height - x[j]) // piv + 1):
+            y = x[:j] + [x[k] + c * row[k] for k in range(j, d)]
+            yield from walk(j + 1, y, on_shell or abs(y[j]) == height)
+
+    return walk(0, [0] * d, False)
+
+
+def _prime_generators(ring: RingData, p: int, f: int) -> List[CyclotomicElement]:
+    """Canonical generators of the primes above p, each of norm p**f.
+
+    Every prime is built as (p, h(zeta)) from an irreducible factor h of
+    Phi_n mod p, and its lattice is the HNF of the multiplication rows of p
+    and h(zeta).  The walk visits the lattice points by increasing height
+    max |coordinate|, and within one height in sorted coordinate order; the
+    first point whose integer norm is +-p**f generates the prime.  That
+    point is then replaced by its associate under the torsion units with
+    the largest coefficient tuple, so 2 is preferred to -2 and 1 + i to
+    -1 - i.  The generator is thus a function of the ideal alone: it is
+    the first generator of the ideal in (height, coordinates) order,
+    normalized, even in Z[zeta5] with its infinitely many units.  Class
+    number one makes every ideal principal, so the walk always ends and
+    no bound limit remains.  Over Q the generator is p itself.  The
+    primes are listed in the order of their first points.
+    """
+    if ring.cyclo_n == 1:
+        return [ring.from_coords((p,))]
+    d = ring.degree
     target = p ** f
-    torsion = ring.torsion_units()
-    found: List[CyclotomicElement] = []
-    max_height = target + 1 if ring.degree == 1 else 8
-    for height in range(1, max_height + 1):
-        box = range(-height, height + 1)
-        for coords in sorted(itertools.product(box, repeat=ring.degree)):
-            if max(abs(c) for c in coords) != height:
-                continue
-            candidate = ring.from_coords(coords)
-            if abs(candidate.norm()) != target:
-                continue
-            if any(_same_ideal(candidate, seen) for seen in found):
-                continue
-            found.append(max(
-                (candidate * u for u in torsion),
-                key=lambda x: ring.coords(x),
-            ))
-            if len(found) == g:
-                return found
-    raise RuntimeError("prime generator search exhausted its height window")
-
-
-def _same_ideal(a: CyclotomicElement, b: CyclotomicElement) -> bool:
-    return (a / b).is_integral() and (b / a).is_integral()
+    phi = cyclotomic_polynomial(ring.cyclo_n)
+    firsts = []
+    for poly in _ideal_generator_polys(ring, p, f):
+        rem = _poly_divmod(poly, phi)[1]
+        rows = [[p if i == j else 0 for j in range(d)] for i in range(d)]
+        rows += ring.coord_rows(tuple(rem) + (0,) * (d - len(rem)))
+        basis = hermite_normal_form(IntMatrix(rows))[0].entries[:d]
+        firsts.append(next(
+            (height, x)
+            for height in itertools.count(1)
+            for x in _lattice_shell(basis, height)
+            if abs(IntMatrix(ring.coord_rows(x)).determinant()) == target
+        ))
+    torsion = [ring.coord_rows(ring.coords(u)) for u in ring.torsion_units()]
+    return [
+        ring.from_coords(max(ring.times_rows(x, rows) for rows in torsion))
+        for _, x in sorted(firsts)
+    ]
 
 
 def prime_window(ring: RingData, bound: int) -> List[PrimeData]:
-    """All primes of norm at most bound, ordered by (norm, coefficients)."""
+    """All primes of norm at most bound, ordered by (norm, coefficients).
+
+    Each prime above p is built as (p, h(zeta)) for an irreducible factor
+    h of Phi_n mod p and carries its canonical generator (see
+    _prime_generators): the first lattice point of the ideal, by height
+    and then by coordinates, whose norm is +-p**f, moved to its torsion
+    associate with the largest coefficient tuple.  The generator depends
+    on the ideal alone, so windows at different bounds agree on the
+    primes they share.  No height window limits the construction, so
+    every bound is reachable.
+    """
     out = []
     for p in _rational_primes(bound):
-        f, g = _splitting_data(ring, p)
+        f, _ = _splitting_data(ring, p)
         if p ** f > bound:
             continue
-        for gen in _prime_generators(ring, p, f, g):
+        for gen in _prime_generators(ring, p, f):
             out.append(PrimeData(gen, p ** f, p, f))
     out.sort(key=lambda q: (q.norm, tuple(int(c) for c in q.element.coeffs)))
     return out
@@ -482,10 +568,10 @@ class FiniteLevelParams:
         return out
 
     def _primes_above_if_new(self, p: int, window) -> List[PrimeData]:
-        f, g = _splitting_data(self.ring, p)
+        f, _ = _splitting_data(self.ring, p)
         fresh = []
-        for gen in _prime_generators(self.ring, p, f, g):
-            if any(_same_ideal(gen, q.element) for q in window):
+        for gen in _prime_generators(self.ring, p, f):
+            if any(gen == q.element for q in window):
                 continue
             if self._valuation_of(self.modulus, gen) == 0:
                 continue

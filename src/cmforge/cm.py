@@ -342,7 +342,8 @@ def universal_rho(sg: SerreGroup, target: Torus, mu: Cocharacter) -> TorusMorphi
         raise AssertionError("universal morphism must be integral")
     m = IntMatrix([[int(sol[idx(i, j)]) for j in range(rt)] for i in range(rs)])
     rho = TorusMorphism(sg.torus, target, m, name="rho")
-    assert rho.push_cocharacter(sg.mu) == mu
+    if rho.push_cocharacter(sg.mu) != mu:
+        raise AssertionError("universal morphism must carry mu_S to mu")
     return rho
 
 
@@ -357,8 +358,10 @@ def rho_phi(t: CMType, sg: SerreGroup | None = None) -> TorusMorphism:
     rho = universal_rho(sg, mu.torus, mu)
     iota = t.field.scenario.iota
     # archimedean compatibility in pair form: h_phi = rho ∘ h
-    assert rho.push_cocharacter(sg.h_pair[0]) == mu
-    assert rho.push_cocharacter(sg.h_pair[1]) == mu.translate(iota)
+    if rho.push_cocharacter(sg.h_pair[0]) != mu:
+        raise AssertionError("rho must carry h to mu_phi")
+    if rho.push_cocharacter(sg.h_pair[1]) != mu.translate(iota):
+        raise AssertionError("rho must carry conjugate h to the conjugate of mu_phi")
     return rho
 
 
@@ -415,7 +418,8 @@ def induced_serre_morphism(sg_k: SerreGroup, sg_e: SerreGroup) -> TorusMorphism:
         cols.append(coeffs)
     m = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(sg_k.rank)])
     induced = TorusMorphism(sg_k.torus, sg_e.torus, m, name="N induced")
-    assert sg_k.projection.char_map * m == n.char_map * sg_e.projection.char_map
+    if sg_k.projection.char_map * m != n.char_map * sg_e.projection.char_map:
+        raise AssertionError("induced norm must commute with the projections")
     return induced
 
 

@@ -46,7 +46,8 @@ def cyclotomic_polynomial(n: int):
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not rem, "cyclotomic division must be exact"
+            if rem:
+                raise AssertionError("cyclotomic division must be exact")
     return tuple(poly)
 
 

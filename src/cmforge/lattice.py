@@ -324,7 +324,8 @@ def smith_normal_form(M: IntMatrix):
             None,
         )
         if offender is None:
-            assert u * M * v == a
+            if u * M * v != a:
+                raise AssertionError("Smith form must satisfy U * M * V == D")
             return u, a, v
         # Fold the next column into this one.  The coming row pass then
         # puts gcd(d_i, d_{i+1}) at position i; a row fold would be undone

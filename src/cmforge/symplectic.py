@@ -132,7 +132,8 @@ def totally_imaginary_generator(field: FieldHandle, *, positive: bool = False):
             continue
         if _stabilizer_exponents(xi, field.scenario) != set(field.subgroup):
             continue
-        assert xi.conjugate() == -xi
+        if xi.conjugate() != -xi:
+            raise AssertionError("generator must be totally imaginary")
         if positive and _complex_value(xi).imag < 0:
             xi = -xi
         return xi
@@ -815,7 +816,8 @@ def element_from_embedding_values(field: FieldHandle, values):
         if c:
             x = x + b * c
     for k, j in enumerate(exps):
-        assert x.galois(j) == values[k]
+        if x.galois(j) != values[k]:
+            raise AssertionError("element must reproduce its embedding values")
     return x
 
 

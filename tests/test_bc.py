@@ -6,7 +6,9 @@ no orbit bookkeeping, so the orbit key calculus is checked against an
 independent computation.
 """
 
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,9 @@ from cmforge.bc import (
     AlgebraElement,
     Coefficient,
     GroupoidArrow,
+    _prime_ideal_norms,
+    _rational_primes,
+    _splitting_data,
     build_finite_bc,
     build_params,
     builtin_ring,
@@ -36,7 +41,7 @@ from cmforge.bc import (
     symmetry_class,
     time_evolution,
 )
-from cmforge.cyclotomic import CyclotomicElement
+from cmforge.cyclotomic import CyclotomicElement, cyclotomic_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +105,100 @@ def test_prime_generators_generate_distinct_ideals():
             assert not (a.element / b.element).is_integral() or not (
                 b.element / a.element
             ).is_integral()
+
+
+def _generator_list(window):
+    return [(q.norm, tuple(int(c) for c in q.element.coeffs)) for q in window]
+
+
+def _digest(window):
+    return hashlib.sha256(repr(_generator_list(window)).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def windows_1000():
+    """Each builtin ring's window at bound 1000, with the seconds it took."""
+    out = {}
+    for name in ("Q", "Q(i)", "Q(zeta5)"):
+        start = time.perf_counter()
+        window = prime_window(builtin_ring(name), 1000)
+        out[name] = (window, time.perf_counter() - start)
+    return out
+
+
+def test_prime_window_gaussian_generators_to_89():
+    # golden values from the coefficient-box search the construction replaced
+    assert _generator_list(prime_window(builtin_ring("Q(i)"), 89)) == [
+        (2, (1, 1)), (5, (2, -1)), (5, (2, 1)), (9, (3, 0)), (13, (3, -2)),
+        (13, (3, 2)), (17, (4, -1)), (17, (4, 1)), (29, (5, -2)), (29, (5, 2)),
+        (37, (6, -1)), (37, (6, 1)), (41, (5, -4)), (41, (5, 4)), (49, (7, 0)),
+        (53, (7, -2)), (53, (7, 2)), (61, (6, -5)), (61, (6, 5)), (73, (8, -3)),
+        (73, (8, 3)), (89, (8, -5)), (89, (8, 5)),
+    ]
+
+
+def test_prime_window_generators_are_unchanged(windows_1000):
+    # SHA-256 of the (norm, coefficients) lists the coefficient-box search returned
+    assert _generator_list(prime_window(builtin_ring("Q"), 200)) == [
+        (p, (p,)) for p in _rational_primes(200)
+    ]
+    assert _digest(prime_window(builtin_ring("Q(zeta5)"), 200)) == (
+        "13003ad0e8b32b5fd8307454aad81484e1e1e1b688626b9514375f3da6b88133")
+    assert _digest(windows_1000["Q"][0]) == (
+        "dfe7e02b14047b42800709ccd9df04c8a6c2c986577c7911068520ce85cff160")
+    assert _digest(windows_1000["Q(zeta5)"][0]) == (
+        "5a7c8491cbd4992e3e5fdb56cab1281078ea1f7dddac09f0425dd0d6260b70bd")
+
+
+def test_gaussian_primes_beyond_height_eight():
+    # 97 = (9 - 4i)(9 + 4i) is the first norm whose generators need height 9
+    window = prime_window(builtin_ring("Q(i)"), 120)
+    above_97 = [coeffs for norm, coeffs in _generator_list(window) if norm == 97]
+    assert above_97 == [(9, -4), (9, 4)]
+    params = build_params("Q(i)", (3, 0), 120)
+    assert len(params.primes) == len(window)
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(zeta5)"])
+def test_prime_window_at_bound_1000(windows_1000, name):
+    window, seconds = windows_1000[name]
+    ring = builtin_ring(name)
+    assert [q.norm for q in window] == sorted(_prime_ideal_norms(ring, 1000))
+    for q in window:
+        assert abs(q.element.norm()) == q.norm
+    assert seconds < 10
+
+
+def test_modulus_prime_in_window_is_not_repeated():
+    # 1 - i and the window generator 1 + i generate the same prime
+    params = build_params("Q(i)", (1, -1), 10)
+    assert params.places == params.primes
+    assert params.primes[0].m_valuation == 1
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(zeta5)"])
+def test_prime_window_against_sympy(windows_1000, name):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    ring = builtin_ring(name)
+    phi = sympy.Poly(list(reversed(cyclotomic_polynomial(ring.cyclo_n))), x)
+    by_p = {}
+    for q in windows_1000[name][0]:
+        g = sympy.Poly(list(reversed([int(c) for c in q.element.coeffs])), x)
+        assert abs(sympy.resultant(phi, g)) == q.norm
+        by_p.setdefault(q.p, []).append((q, g))
+    for p, primes in by_p.items():
+        f, count = _splitting_data(ring, p)
+        factors = [h for h, _ in sympy.Poly(phi, modulus=p).factor_list()[1]]
+        assert len(factors) == count == len(primes)
+        assert all(h.degree() == f for h in factors)
+        # each generator lies in (p, h(zeta)) for exactly one factor h
+        matched = set()
+        for q, g in primes:
+            g_mod_p = sympy.Poly(g, modulus=p)
+            (h,) = [h for h in factors if g_mod_p.rem(h).is_zero]
+            matched.add(h)
+        assert len(matched) == count
 
 
 # -- Parameters and residues -----------------------------------------------------------
