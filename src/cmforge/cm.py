@@ -15,8 +15,9 @@ the lattice solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import CyclotomicElement, matrix_determinant
 from .galois import (
     FieldHandle,
     is_cm,
@@ -30,7 +31,6 @@ from .lattice import (
     hermite_normal_form,
     lattice_contains,
     right_kernel,
-    smith_normal_form,
     solution_sublattice,
     solve_int_rowspan,
 )
@@ -424,12 +424,8 @@ def induced_serre_morphism(sg_k: SerreGroup, sg_e: SerreGroup) -> TorusMorphism:
 
 
 def is_isomorphism(f: TorusMorphism) -> bool:
-    """Square character map with trivial elementary divisors."""
-    m = f.char_map
-    if m.rows != m.cols:
-        return False
-    _, d, _ = smith_normal_form(m)
-    return d == IntMatrix.identity(m.rows)
+    """Square character map with trivial elementary divisors (determinant ±1)."""
+    return f.char_map.is_unimodular()
 
 
 def lemmahodge_check(sg: SerreGroup) -> bool:
@@ -544,15 +540,9 @@ def cyclotomic_level(scenario) -> int:
     if not name.startswith("cyclotomic-"):
         raise ValueError("scenario has no cyclotomic realization")
     n = int(name.split("-", 1)[1])
-    if set(scenario.elements) != {str(k) for k in range(1, n) if _gcd(k, n) == 1}:
+    if set(scenario.elements) != {str(k) for k in range(1, n) if gcd(k, n) == 1}:
         raise ValueError("scenario labels do not match the residues mod n")
     return n
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _embedding_exponents(field: FieldHandle, n: int):
@@ -627,25 +617,4 @@ def reflex_determinant_oracle(t: CMType, a: CyclotomicElement) -> CyclotomicElem
             component = a if col_exp == row_exp else CyclotomicElement.zero(n)
             row.append(component.galois(inv))
         matrix.append(row)
-    return _cyclotomic_det(matrix, n)
-
-
-def _cyclotomic_det(matrix, n: int) -> CyclotomicElement:
-    size = len(matrix)
-    m = [row[:] for row in matrix]
-    det = CyclotomicElement.one(n)
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if not m[r][c].is_zero()), None)
-        if pivot is None:
-            return CyclotomicElement.zero(n)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inverse()
-        for r in range(c + 1, size):
-            if not m[r][c].is_zero():
-                factor = m[r][c] * inv
-                for k in range(c, size):
-                    m[r][k] = m[r][k] - factor * m[c][k]
-    return det
+    return matrix_determinant(matrix)

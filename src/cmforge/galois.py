@@ -16,6 +16,7 @@ a D4 scenario containing a non-Galois CM quartic.
 from __future__ import annotations
 
 import json
+from math import gcd
 
 
 class GaloisScenario:
@@ -340,7 +341,7 @@ def cyclotomic_scenario(n: int) -> GaloisScenario:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    units = [k for k in range(1, n) if _coprime(k, n)]
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
     elements = [str(k) for k in units]
     table = {
         (str(a), str(b)): str(a * b % n) for a in units for b in units
@@ -350,12 +351,6 @@ def cyclotomic_scenario(n: int) -> GaloisScenario:
         "Q": frozenset(elements),
     }
     return GaloisScenario(elements, table, str(n - 1), named, name=f"cyclotomic-{n}")
-
-
-def _coprime(a, b):
-    while b:
-        a, b = b, a % b
-    return a == 1
 
 
 def c2_s3_scenario() -> GaloisScenario:

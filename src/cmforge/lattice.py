@@ -12,7 +12,7 @@ No floating point is used anywhere here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class IntMatrix:
@@ -389,19 +389,20 @@ def hermite_normal_form(M: IntMatrix):
 
 
 def kernel_lattice(M: IntMatrix) -> IntMatrix:
-    """Basis (as rows) of the left kernel {x : x·M = 0}.
+    """Saturated basis (as rows) of the left kernel {x : x·M = 0}, in HNF.
 
-    The output basis is automatically saturated: it consists of rows of a
-    unimodular matrix, so the kernel is a direct summand of Z^rows.
+    One Hermite form gives it: with U·M = H, x·M = 0 iff (x·U^{-1})·H = 0,
+    and the nonzero rows of H are independent, so the kernel is spanned by
+    the U-rows sitting over the zero rows of H.  U is unimodular, so those
+    rows extend to a basis of Z^rows and the kernel they span is saturated
+    (a direct summand).  The basis returned is the Hermite form of theirs,
+    which is unique for the lattice.
     """
-    u, d, _ = smith_normal_form(M)
-    zero_rows = [i for i in range(M.rows) if all(x == 0 for x in d.entries[i])]
-    if not zero_rows:
+    h, u = hermite_normal_form(M)
+    basis = [u_row for h_row, u_row in zip(h.entries, u.entries) if not any(h_row)]
+    if not basis:
         return IntMatrix.zero(0, M.rows)
-    # x·M = 0 iff (x·U^{-1})·D = 0 iff x is a Z-combination of the U-rows
-    # sitting over zero rows of D.
-    basis = IntMatrix([u.entries[i] for i in zero_rows])
-    h, _ = hermite_normal_form(basis)
+    h, _ = hermite_normal_form(IntMatrix(basis))
     return IntMatrix([row for row in h.entries if any(row)])
 
 
@@ -536,53 +537,45 @@ def frac_matmul(A, B):
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A)
 
 
-def frac_apply(A, vec):
-    return tuple(sum(a * b for a, b in zip(row, vec)) for row in A)
+def _gauss_jordan(a, ncols):
+    """Reduce the list-of-lists ``a`` in place over its first ``ncols`` columns.
 
-
-def frac_det(A):
-    n = len(A)
-    if n == 0:
-        return Fraction(1)
-    a = [list(r) for r in A]
-    det = Fraction(1)
-    for k in range(n):
+    Gauss-Jordan over the field of the entries: the pivot of a column is its
+    first nonzero entry at or below the current row, the pivot row is scaled
+    to 1 and the column is cleared in every other row; later columns (an
+    augmented block) are carried along.  Returns the pivot columns; pivot
+    row i holds the i-th of them.
+    """
+    m = len(a)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
         piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
+        for i in range(r, m):
+            if a[i][c] != 0:
                 piv = i
                 break
         if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
 
 def frac_inv(A):
     n = len(A)
     a = [list(r) + list(e) for r, e in zip(A, frac_identity(n))]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    if len(_gauss_jordan(a, n)) < n:
+        raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in a)
 
 
@@ -595,28 +588,8 @@ def frac_solve(A, b):
     m = len(A)
     n = len(A[0]) if m else 0
     a = [list(row) + [Fraction(b[i])] for i, row in enumerate(A)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
+    pivots = _gauss_jordan(a, n)
+    for i in range(len(pivots), m):
         if a[i][n] != 0:
             return None
     x = [Fraction(0)] * n
@@ -627,30 +600,9 @@ def frac_solve(A, b):
 
 def frac_nullspace(A):
     """Basis (rows) of {x : A·x = 0} over the rationals."""
-    m = len(A)
-    n = len(A[0]) if m else 0
+    n = len(A[0]) if A else 0
     a = [list(row) for row in A]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    pivots = _gauss_jordan(a, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -662,15 +614,21 @@ def frac_nullspace(A):
     return tuple(basis)
 
 
+def common_denominator(rows) -> int:
+    """Least common multiple of the denominators of a rational matrix."""
+    denom = 1
+    for row in rows:
+        for x in row:
+            denom = lcm(denom, Fraction(x).denominator)
+    return denom
+
+
 def clear_denominators(rows):
     """Scale rational rows to primitive integer rows; returns IntMatrix."""
     out = []
     for row in rows:
-        row = [Fraction(x) for x in row]
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in row]
+        denom = common_denominator([row])
+        ints = [int(Fraction(x) * denom) for x in row]
         g = 0
         for x in ints:
             g = gcd(g, abs(x))

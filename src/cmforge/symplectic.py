@@ -31,11 +31,12 @@ from .cm import (
     rho_phi,
     serre_group,
 )
-from .cyclotomic import CyclotomicElement, multiplication_matrix
+from .cyclotomic import CyclotomicElement, matrix_determinant, multiplication_matrix
 from .galois import FieldHandle, is_cm, maximal_totally_real_subfield
 from .lattice import (
     IntMatrix,
     alternating_frobenius,
+    common_denominator,
     frac_identity,
     frac_inv,
     frac_matmul,
@@ -321,7 +322,7 @@ def build_symplectic_space(fields, generators=None, *, positive=False) -> Symple
         for j in range(dim):
             if rows[i][j] != -rows[j][i]:
                 raise AssertionError("trace pairing is not alternating")
-    if _frac_det(rows) == 0:
+    if matrix_determinant(rows) == 0:
         raise AssertionError("trace pairing is degenerate")
     return SymplecticSpace(summands, rows)
 
@@ -331,26 +332,6 @@ def _validate_imaginary_generator(field, xi):
         raise ValueError("generator is not totally imaginary")
     if _stabilizer_exponents(xi, field.scenario) != set(field.subgroup):
         raise ValueError("element does not generate the field")
-
-
-def _frac_det(rows):
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +414,6 @@ class GSpElement:
         return f"GSpElement(dim={self.space.dim}, nu={self.similitude})"
 
 
-def gsp_check(space: SymplecticSpace, rows) -> GSpElement:
-    """Validate a rational matrix as a similitude and report its multiplier."""
-    return GSpElement(space, rows)
-
-
 def _valuation(x: Fraction, p: int) -> int:
     x = Fraction(x)
     if x == 0:
@@ -509,10 +485,7 @@ def integral_symplectic_basis(space: SymplecticSpace):
     pairings fixed while moving the vectors into integer coordinates.
     """
     basis = _greedy_hyperbolic(space)
-    q = 1
-    for vec in basis:
-        for c in vec:
-            q = q * c.denominator // gcd(q, c.denominator)
+    q = common_denominator(basis)
     scaled = [tuple(c * q for c in vec) for vec in basis]
     new_space = _rescaled_space(space, q)
     reference = standard_j(space.genus)
@@ -845,17 +818,6 @@ def gsp_realization(point: CMPointData, morphism: TorusMorphism, x) -> GSpElemen
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int):
     n = abs(n)
     out = set()
@@ -883,7 +845,7 @@ class AdelicGSp:
     def __init__(self, space: SymplecticSpace, local, tail: GSpElement | None = None):
         parts = {}
         for p, g in dict(local).items():
-            if not _is_prime(p):
+            if not (p >= 2 and _prime_factors(p) == {p}):
                 raise ValueError(f"support contains the non-prime {p}")
             if g.space != space:
                 raise ValueError("local part lives on a different space")
@@ -961,7 +923,7 @@ def decompose_gsp(f: AdelicGSp):
     basis = [list(row) for row in _transpose(tail.matrix)]
     for p, g in f.local.items():
         relative = frac_matmul(frac_inv(tail.matrix), g.matrix)
-        denom = _common_denominator(relative)
+        denom = common_denominator(relative)
         integral = IntMatrix([[int(x * denom) for x in row] for row in relative])
         u, d, _ = smith_normal_form(integral)
         u_inv = int_matrix_inverse(u)
@@ -1004,15 +966,6 @@ def decompose_gsp(f: AdelicGSp):
     return q, gamma
 
 
-def _common_denominator(rows) -> int:
-    denom = 1
-    for row in rows:
-        for x in row:
-            x = Fraction(x)
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    return denom
-
-
 def _lattice_sum(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     h, _ = hermite_normal_form(vstack(A, B))
     return IntMatrix([row for row in h.entries if any(row)])
@@ -1034,8 +987,7 @@ def _replace_at_prime(current, candidate, p: int):
                 if x:
                     k = max(k, -_valuation(x, p))
     widened = [[x * Fraction(p) ** (-k) for x in row] for row in current]
-    d1, d2 = _common_denominator(candidate), _common_denominator(widened)
-    denom = d1 * d2 // gcd(d1, d2)
+    denom = common_denominator(candidate + widened)
     a_int = IntMatrix([[int(x * denom) for x in row] for row in candidate])
     b_int = IntMatrix([[int(x * denom) for x in row] for row in widened])
     meet = lattice_intersection(a_int, b_int)
@@ -1049,7 +1001,7 @@ def _scaled_frobenius(gram):
     Returns (U, invariants) with U integral unimodular and the invariants
     rational, matching U·gram·Uᵀ in adjacent-pair block form.
     """
-    denom = _common_denominator(gram)
+    denom = common_denominator(gram)
     integral = IntMatrix([[int(Fraction(x) * denom) for x in row] for row in gram])
     u, invariants = alternating_frobenius(integral)
     return u, tuple(Fraction(d, denom) for d in invariants)
@@ -1063,12 +1015,8 @@ def adjoint_project(element):
     up to Q^× exactly when their images coincide.
     """
     rows = element.matrix if isinstance(element, GSpElement) else element
-    rows = [[Fraction(x) for x in row] for row in rows]
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [[int(x * denom) for x in row] for row in rows]
+    denom = common_denominator(rows)
+    ints = [[int(Fraction(x) * denom) for x in row] for row in rows]
     content = 0
     for row in ints:
         for x in row:
@@ -1093,7 +1041,7 @@ def sample_integral_symplectic(space: SymplecticSpace, rng, steps: int = 4) -> G
     multiplicative across the factors, and the decomposition pipeline does
     exact arithmetic on whatever this returns.
     """
-    denom = _common_denominator(space.gram)
+    denom = common_denominator(space.gram)
     n = space.dim
     result = GSpElement.identity(space)
     made = 0

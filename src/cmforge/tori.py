@@ -23,6 +23,7 @@ from .lattice import (
     GModuleLattice,
     IntMatrix,
     cokernel,
+    hermite_normal_form,
     solve_int_rowspan,
 )
 
@@ -134,10 +135,9 @@ class TorusMorphism:
 
 
 def matrix_rank(m: IntMatrix) -> int:
-    from .lattice import smith_normal_form
-
-    _, d, _ = smith_normal_form(m)
-    return sum(1 for i in range(min(m.rows, m.cols)) if d[i, i])
+    """Rank of an integer matrix: the number of nonzero rows of its HNF."""
+    h, _ = hermite_normal_form(m)
+    return sum(1 for row in h.entries if any(row))
 
 
 def identity_morphism(t: Torus) -> TorusMorphism:

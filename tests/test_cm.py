@@ -1,5 +1,6 @@
 """CM types, reflex machinery, and the universal quotient torus."""
 
+import hashlib
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from cmforge.cm import (
     serre_kernel_check,
     serre_kernel_report,
     serre_property_suite,
+    serre_sublattice,
     universal_rho,
 )
 from cmforge.cyclotomic import CyclotomicElement
@@ -281,6 +283,49 @@ def test_norm_induced_map_is_isomorphism_to_max_cm(c2s3, z5):
     assert is_isomorphism(induced)
     sg5 = serre_group(z5.ambient_field())
     assert is_isomorphism(induced_serre_morphism(sg5, sg5))
+
+
+# Golden outputs taken from the Smith-form kernel implementation: SHA-256 of
+# repr(serre_sublattice(K).entries) and of the suite's (id, pass, detail)
+# triples, for the builtin fields and the cyclotomic fields up to degree 12.
+SERRE_GOLDEN = {
+    "qi": ("qi", None,
+           "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+           "2708df8a528d3bf26c0e2a5814d04bcd5b3b42671de3fb944fbec4d32d932ef7"),
+    "zeta5": ("zeta5", None,
+              "2bef40df94885c71b631439be93a15ae8a8d409ac9fbc29b1b6c9eed6004c70e",
+              "ab02629a0f7bf911279f59f2ac075f5e662a93f1082be78f8b2b2594abcd8a15"),
+    "d4": ("d4", "E",
+           "e2ba4aaa2e1da266f7ff41a42168d1cfb7be97e3442d40269304e3465dca192a",
+           "ab02629a0f7bf911279f59f2ac075f5e662a93f1082be78f8b2b2594abcd8a15"),
+    "c2xs3": ("c2xs3", "Q(i,2^(1/3))",
+              "0ee5869c5fa067332c2a100683c48cad0a93a9719fe042a82ecaa4beb94b0080",
+              "017181b499b6c11f159c9072830c7f918fcbe90b9a0fed876a01f8ccbcd62207"),
+}
+for _n in (15, 16, 20, 24):
+    SERRE_GOLDEN[f"cyclotomic-{_n}"] = (
+        f"cyclotomic-{_n}", None,
+        "f40a6454997d53e20222629208f1fb517f1d6a72bacf6cb384ac69f5932cc6e6",
+        "d30d514cef2816d9e3f37f604e88560fe327cca099a6e5238fc7d07c4fbdd3cd")
+for _n in (21, 28):
+    SERRE_GOLDEN[f"cyclotomic-{_n}"] = (
+        f"cyclotomic-{_n}", None,
+        "e3eb45ca180aa907b389d91305ecfc934ddea1f9397a83efddc11e8eeba14b73",
+        "d5f3ffe0d02782e675e070b150722436538167f59b13b98fc4d7080d80fb751d")
+
+
+def _sha256(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(SERRE_GOLDEN))
+def test_serre_outputs_match_golden(label):
+    key, sub, sublattice_sha, checks_sha = SERRE_GOLDEN[label]
+    scenario = builtin_scenario(key)
+    K = scenario.named(sub) if sub else scenario.ambient_field()
+    assert _sha256(serre_sublattice(K).entries) == sublattice_sha
+    report = serre_property_suite(K)
+    assert _sha256([(c["id"], c["pass"], c["detail"]) for c in report["checks"]]) == checks_sha
 
 
 def test_rho_compatibility_through_tower():

@@ -107,6 +107,16 @@ def test_multiplication_matrix_determinant_equals_norm():
     assert matrix_determinant(m) == a.norm()
 
 
+def test_determinant_over_a_cyclotomic_field():
+    a, b = 2 + Z(5), Z(5, 3) - 1
+    swapped = matrix_determinant([[0 * a, a], [b, a * b]])
+    assert isinstance(swapped, CyclotomicElement)
+    assert swapped == -(a * b)
+    singular = matrix_determinant([[a, b], [a * Z(5), b * Z(5)]])
+    assert isinstance(singular, CyclotomicElement) and singular.is_zero()
+    assert matrix_determinant([[Fraction(1, 2), 1], [3, 4]]) == Fraction(-1)
+
+
 def test_multiplication_matrix_rejects_non_invariant_span():
     a = Z(5)
     with pytest.raises(ValueError, match="span"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmforge.galois import builtin_scenario
 from cmforge.lattice import (
     FGAbelianGroup,
     GModuleLattice,
@@ -30,6 +31,7 @@ from cmforge.lattice import (
     solve_int_rowspan,
     vstack,
 )
+from cmforge.tori import matrix_rank, torus_of_field
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -198,6 +200,69 @@ def test_kernel_saturated(m):
     if k.rows:
         # Saturation: Z^rows / rowspan(kernel) must be torsion-free.
         assert cokernel(k).torsion_factors == ()
+
+
+def random_low_rank(rng, max_rows=8, max_cols=10):
+    """Integer matrix of random shape built as a product A·B through a
+    random inner dimension, so rank deficiency and nonzero kernels are
+    common."""
+    rows, cols = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    inner = rng.randint(1, min(rows, cols))
+    a = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
+    b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
+    return IntMatrix(a) * IntMatrix(b)
+
+
+def test_kernel_rank_and_smith_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+
+    rng = random.Random(5)
+    for _ in range(80):
+        m = random_low_rank(rng)
+        rank = sympy.Matrix(m.entries).rank()
+        assert matrix_rank(m) == rank
+        k = kernel_lattice(m)
+        assert k.rows == m.rows - rank
+        if k.rows:
+            assert (k * m).is_zero()
+            _, d, _ = smith_normal_form(k)
+            assert [d[i, i] for i in range(k.rows)] == [1] * k.rows  # saturated
+        n = min(m.rows, m.cols)
+        theirs = sympy_smith(sympy.Matrix(m.entries), domain=sympy.ZZ)
+        _, d, _ = smith_normal_form(m)
+        assert [d[i, i] for i in range(n)] == [abs(int(theirs[i, i])) for i in range(n)]
+
+
+def stacked_serre_conditions(K):
+    """The operators serre_sublattice solves, stacked: (sigma - 1)(iota + 1)
+    and (iota + 1)(sigma - 1) for every sigma of the scenario."""
+    t = torus_of_field(K)
+    eye = IntMatrix.identity(t.rank)
+    iota_plus = t.act(K.scenario.iota) + eye
+    conditions = []
+    for g in K.scenario.elements:
+        step = t.act(g) - eye
+        conditions += [step * iota_plus, iota_plus * step]
+    return vstack(*conditions)
+
+
+# Golden Smith diagonals of the stacked Serre conditions that
+# serre_sublattice solves for these two fields.
+@pytest.mark.parametrize(
+    "key, sub, shape, diagonal",
+    [
+        ("c2xs3", "Q(i,2^(1/3))", (144, 6), (1, 1, 1, 1, 0, 0)),
+        ("d4", None, (128, 8), (1, 1, 1, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_snf_of_stacked_serre_conditions(key, sub, shape, diagonal):
+    scenario = builtin_scenario(key)
+    m = stacked_serre_conditions(scenario.named(sub) if sub else scenario.ambient_field())
+    assert (m.rows, m.cols) == shape
+    _, d, _ = smith_normal_form(m)
+    assert tuple(d[i, i] for i in range(m.cols)) == diagonal
+    assert right_kernel(m).rows == diagonal.count(0)
 
 
 # -- cokernels ---------------------------------------------------------------
