@@ -33,13 +33,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CyclotomicElement, _poly_divmod, cyclotomic_polynomial
-from .lattice import (
-    IntMatrix,
-    hermite_normal_form,
-    lattice_contains,
-    solve_int_rowspan,
-    vstack,
-)
+from .lattice import IntMatrix, hermite_normal_form, solve_int_rowspan, vstack
 
 TOP = "top"
 EXACT = "exact"
@@ -245,6 +239,22 @@ class ResidueRing:
         h = self.lattice.entries
         ranges = [range(h[i][i]) for i in range(self.lattice.rows)]
         return [self.reduce(v) for v in itertools.product(*ranges)]
+
+
+def _in_hnf_span(h: IntMatrix, vector) -> bool:
+    """Whether the integer row vector lies in the row span of h, a Hermite
+    normal form: reduce it by the echelon rows, pivot by pivot, and check
+    that nothing is left.  Rows below the pivot rows are zero."""
+    v = list(vector)
+    for row in h.entries:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            break
+        q = v[p] // row[p]
+        if q:
+            for j in range(p, len(v)):
+                v[j] -= q * row[j]
+    return not any(v)
 
 
 # -- Prime enumeration -------------------------------------------------------------
@@ -617,7 +627,7 @@ class FiniteLevelParams:
         cap = self.residue_cap(index)
         vec = list(self.residues.reduce(coords))
         v = 0
-        while v < cap and lattice_contains(self._valuation_lattice(index, v + 1), vec):
+        while v < cap and _in_hnf_span(self._valuation_lattice(index, v + 1), vec):
             v += 1
         if v >= cap:
             return (TOP, cap)
@@ -636,20 +646,22 @@ class FiniteLevelParams:
     def class_of_unit(self, coords) -> str:
         return self.shimura.class_of(coords)
 
-    def stabilizer_image(self, exact_mask: Tuple[bool, ...]) -> frozenset:
-        """Image in the ray classes of units congruent to 1 where required.
+    def _coset_table(self, exact_mask) -> Dict[str, Tuple[str, ...]]:
+        """Map each ray class label to its coset under the stabilizer image
+        of the mask, as a tuple sorted in label order.
 
         A place with exact valuation pins its local residue up to units
         congruent to 1 modulo the full local component of m; a place in
-        the TOP state imposes nothing.  Only places dividing m matter.
+        the TOP state imposes nothing.  Only places dividing m matter, so
+        one table serves every mask with the same conductor.
         """
         effective = tuple(
             place.m_valuation if (exact and place.m_valuation) else 0
             for exact, place in zip(exact_mask, self.places)
         )
-        cached = self._stab_cache.get(effective)
-        if cached is not None:
-            return cached
+        table = self._stab_cache.get(effective)
+        if table is not None:
+            return table
         conductor = CyclotomicElement.one(self.ring.cyclo_n)
         for k, place in zip(effective, self.places):
             if k:
@@ -660,34 +672,49 @@ class FiniteLevelParams:
         )
         h, _ = hermite_normal_form(rows)
         one = self.shimura.residues.one()
-        labels = set()
-        for u in self.shimura._class_of:
-            diff = [a - b for a, b in zip(u, one)]
-            if lattice_contains(h, diff):
-                labels.add(self.shimura._class_of[u])
-        result = frozenset(labels)
-        self._stab_cache[effective] = result
-        return result
+        stab = {
+            label for u, label in self.shimura._class_of.items()
+            if _in_hnf_span(h, [a - b for a, b in zip(u, one)])
+        }
+        table = {}
+        for w in self.shimura.labels:
+            if w not in table:
+                coset = tuple(sorted({self.shimura.mult(w, s) for s in stab}))
+                for member in coset:
+                    table[member] = coset
+        self._stab_cache[effective] = table
+        return table
+
+    def stabilizer_image(self, exact_mask: Tuple[bool, ...]) -> frozenset:
+        """Image in the ray classes of units congruent to 1 where required:
+        the coset of the identity in the coset table of the mask."""
+        return frozenset(self._coset_table(exact_mask)[self.shimura.identity])
 
     def saturate_coset(self, labels: Iterable[str], exact_mask) -> Tuple[str, ...]:
-        stab = self.stabilizer_image(tuple(exact_mask))
-        out = set()
-        for w in labels:
-            for s in stab:
-                out.add(self.shimura.mult(w, s))
-        return tuple(sorted(out))
+        """The smallest union of stabilizer cosets holding the labels.
+
+        Each label's coset is looked up in the coset table of the mask; one
+        coset is returned as it stands, several are merged and sorted.
+        """
+        table = self._coset_table(exact_mask)
+        cosets = {table[w] for w in labels}
+        if len(cosets) == 1:
+            return cosets.pop()
+        return tuple(sorted(set().union(*cosets)))
 
     def split_coset(self, labels: Sequence[str], exact_mask) -> List[Tuple[str, ...]]:
-        stab = self.stabilizer_image(tuple(exact_mask))
-        remaining = set(labels)
-        pieces = []
-        while remaining:
-            w = min(remaining)
-            orbit = tuple(sorted(self.shimura.mult(w, s) for s in stab))
-            if not set(orbit) <= remaining:
-                raise AssertionError("coset is not saturated under the stabilizer")
-            remaining -= set(orbit)
-            pieces.append(orbit)
+        """The stabilizer cosets making up a saturated set of labels.
+
+        The cosets are looked up in the coset table of the mask and listed
+        in sorted order, that is by their smallest labels.  The labels are
+        saturated exactly when the sizes of their cosets add up to the
+        number of labels.
+        """
+        table = self._coset_table(exact_mask)
+        distinct = set(labels)
+        pieces = sorted({table[w] for w in distinct})
+        if sum(len(piece) for piece in pieces) != len(distinct):
+            raise AssertionError("coset is not saturated under the stabilizer")
         return pieces
 
 
@@ -917,10 +944,23 @@ class AlgebraElement:
         return tuple(floors)
 
     def equals(self, other: "AlgebraElement") -> bool:
+        """Equality of the functions on arrows, through a common refinement.
+
+        Both sides are refined to the floors of the two together.  The
+        refinement is additive over keys: each (key, coefficient) pair adds
+        its own pieces.  A pair present on both sides adds the same summands
+        to both refinements, so it cancels, and only the remaining terms
+        are refined and compared at the same floors.
+        """
         if self.params is not other.params:
             raise ValueError("elements live over different parameters")
         floors = self._floors_with(other)
-        return self._refined_terms(floors) == other._refined_terms(floors)
+        mine = {k: c for k, c in self.terms.items() if other.terms.get(k) != c}
+        theirs = {k: c for k, c in other.terms.items() if self.terms.get(k) != c}
+        if not mine and not theirs:
+            return True
+        return (AlgebraElement(self.params, mine)._refined_terms(floors)
+                == AlgebraElement(self.params, theirs)._refined_terms(floors))
 
     def __repr__(self):
         return "AlgebraElement(%d orbit classes)" % len(self.terms)
@@ -1000,9 +1040,14 @@ def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
     if f1.params is not f2.params:
         raise ValueError("elements live over different parameters")
     params = f1.params
+    mult = params.shimura.mult
+    right = [
+        (k2, c2, params.class_of_exponents(k2.exponents), set(k2.wcoset))
+        for k2, c2 in f2.terms.items()
+    ]
     out: Dict[OrbitKey, Coefficient] = {}
     for k1, c1 in f1.terms.items():
-        for k2, c2 in f2.terms.items():
+        for k2, c2, shift_cls, target in right:
             locals_out = []
             feasible = True
             for loc1, loc2, s in zip(k1.locals, k2.locals, k2.exponents):
@@ -1013,9 +1058,7 @@ def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
                 locals_out.append(merged)
             if not feasible:
                 continue
-            shift_cls = params.class_of_exponents(k2.exponents)
-            shifted = {params.shimura.mult(w, shift_cls) for w in k1.wcoset}
-            meet = shifted & set(k2.wcoset)
+            meet = {mult(w, shift_cls) for w in k1.wcoset} & target
             if not meet:
                 continue
             exponents = tuple(a + b for a, b in zip(k1.exponents, k2.exponents))

@@ -48,7 +48,10 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)])
+        m = IntMatrix([[0] * cols for _ in range(rows)])
+        # with no rows the width cannot be read off the entries
+        object.__setattr__(m, "cols", cols)
+        return m
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -81,6 +84,8 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
+            if not self.rows:
+                return IntMatrix.zero(0, other.cols)
             bt = other.transpose().entries
             return IntMatrix(
                 [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]

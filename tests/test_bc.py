@@ -7,6 +7,7 @@ independent computation.
 """
 
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from cmforge.bc import (
     AlgebraElement,
     Coefficient,
     GroupoidArrow,
+    _in_hnf_span,
     _prime_ideal_norms,
     _rational_primes,
     _splitting_data,
@@ -42,6 +44,7 @@ from cmforge.bc import (
     time_evolution,
 )
 from cmforge.cyclotomic import CyclotomicElement, cyclotomic_polynomial
+from cmforge.lattice import IntMatrix, hermite_normal_form, lattice_contains, vstack
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,16 @@ def params_q():
 @pytest.fixture(scope="module")
 def params_qi():
     return build_params("Q(i)", (3, 0), 10, cap=1)
+
+
+@pytest.fixture(scope="module")
+def params_q7():
+    return build_params("Q", (7,), 5, cap=1)
+
+
+@pytest.fixture(scope="module")
+def params_qi7():
+    return build_params("Q(i)", (7, 0), 10, cap=1)
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +381,171 @@ def test_bilinearity(params_qi):
     assert scaled.equals(convolve(a, c).scale(Coefficient.of(Fraction(2, 3))))
 
 
+# -- Golden algebra outputs ----------------------------------------------------------------
+
+
+def _terms_digest(element):
+    return hashlib.sha256(repr(list(element.terms.items())).encode()).hexdigest()
+
+
+# SHA-256 of repr(list(terms.items())) of g = f * f^ and of g * g, and the
+# nonzero KMS values of both, for f = 32 sampled terms at exponent cap 1 at
+# Q (modulus 7, bound 5) and Q(i) (modulus 7, bound 10), recorded before the
+# coset tables and the cancelling comparison went in.
+ALGEBRA_GOLDENS = {
+    "params_q7": (
+        "fba7ecca210498e86d84dbd8765d216010413a429a4f4e454f49b706514757ef",
+        "ac6a02f37f08d698555b93873ed7d6be55860803f3bd10e476df179416bc18fc",
+        {"w1": Fraction(40, 9)},
+        {"w1": Fraction(1600, 81)},
+    ),
+    "params_qi7": (
+        "1bc4da20364a998f8e2c33fb9d1b996f8ca47247ee137d7a4cb2eaf13837eece",
+        "bd9551c8d61f2fcad02bb458c68cd4396a9c4b2e3208d6e00d71e682fd9f4186",
+        {"w2": Fraction(25, 36), "w6": Fraction(1, 9), "w7": Fraction(5, 4)},
+        {"w2": Fraction(625, 1296), "w6": Fraction(11, 81), "w7": Fraction(25, 16)},
+    ),
+}
+
+
+@pytest.mark.parametrize("level", sorted(ALGEBRA_GOLDENS))
+def test_algebra_outputs_are_unchanged(level, request):
+    g_digest, gg_digest, g_kms, gg_kms = ALGEBRA_GOLDENS[level]
+    params = request.getfixturevalue(level)
+    f = sample_algebra_element(params, random.Random(2024), terms=32, exponent_cap=1)
+    g = convolve(f, involution(f))
+    gg = convolve(g, g)
+    assert _terms_digest(g) == g_digest
+    assert _terms_digest(gg) == gg_digest
+    labels = kms_state_labels(params)
+    for element, values in ((g, g_kms), (gg, gg_kms)):
+        assert [kms_state_value(element, w).constant() for w in labels] == [
+            (values.get(w, Fraction(0)), Fraction(0)) for w in labels
+        ]
+
+
+# -- Equality, coset tables and HNF membership against their oracles --------------------
+
+
+def _equal_by_full_refinement(a, b):
+    floors = a._floors_with(b)
+    return a._refined_terms(floors) == b._refined_terms(floors)
+
+
+def _assert_equals_agrees(a, b, expected):
+    assert _equal_by_full_refinement(a, b) is expected
+    assert a.equals(b) is expected
+    assert b.equals(a) is expected
+
+
+@pytest.mark.parametrize("level", ["params_q", "params_qi", "params_q7", "params_qi7"])
+def test_equals_matches_full_refinement(level, request):
+    params = request.getfixturevalue(level)
+    rng = random.Random(61)
+    for _ in range(3):
+        f = sample_algebra_element(params, rng, terms=6, exponent_cap=1)
+        h = sample_algebra_element(params, rng, terms=3, exponent_cap=1)
+        raised = tuple(x + 1 for x in f._floors_with(h))
+        # equal, and no key is shared: every TOP class gets split
+        topped = AlgebraElement(params, {
+            k: c for k, c in f.terms.items() if any(kind == TOP for kind, _ in k.locals)
+        })
+        refined = AlgebraElement(params, topped._refined_terms(raised))
+        assert not set(topped.terms) & set(refined.terms)
+        _assert_equals_agrees(topped, refined, True)
+        _assert_equals_agrees(f, AlgebraElement(params, f._refined_terms(raised)), True)
+        # one extra term (sampled exponents stay within 1), and a scaled copy
+        n = len(params.places)
+        extra = make_key(params, (2,) + (0,) * (n - 1), ((TOP, 0),) * n, params.shimura.labels)
+        _assert_equals_agrees(f, f + AlgebraElement(params, {extra: Coefficient.one()}), False)
+        _assert_equals_agrees(f, f.scale(Coefficient.of(2)), False)
+        # partial overlaps: shared terms plus remainders that are equal or not
+        refined_h = AlgebraElement(params, h._refined_terms(raised))
+        _assert_equals_agrees(f + h, f + refined_h, True)
+        _assert_equals_agrees(f + h, f + refined_h.scale(Coefficient.of(-1)), False)
+        _assert_equals_agrees(f + h, f, False)
+        _assert_equals_agrees(f, f, True)
+
+
+def _brute_split(params, labels, mask):
+    stab = params.stabilizer_image(mask)
+    remaining = set(labels)
+    pieces = []
+    while remaining:
+        orbit = tuple(sorted(params.shimura.mult(min(remaining), s) for s in stab))
+        if not set(orbit) <= remaining:
+            return None
+        remaining -= set(orbit)
+        pieces.append(orbit)
+    return pieces
+
+
+@pytest.mark.parametrize("level", ["params_q", "params_qi", "params_q7", "params_qi7"])
+def test_coset_tables_match_brute_force(level, request):
+    params = request.getfixturevalue(level)
+    sh = params.shimura
+    rng = random.Random(67)
+    one = sh.residues.one()
+    unsaturated = 0
+    for mask in itertools.product((False, True), repeat=len(params.places)):
+        # the stabilizer image, with membership by a Smith form solve
+        conductor = CyclotomicElement.one(params.ring.cyclo_n)
+        for exact, place in zip(mask, params.places):
+            if exact and place.m_valuation:
+                conductor = conductor * place.element ** place.m_valuation
+        h, _ = hermite_normal_form(
+            vstack(params.ring.multiplication_rows(conductor), sh.residues.lattice)
+        )
+        stab = {
+            label for u, label in sh._class_of.items()
+            if lattice_contains(h, [a - b for a, b in zip(u, one)])
+        }
+        assert params.stabilizer_image(mask) == stab
+        subsets = [(w,) for w in sh.labels] + [sh.labels]
+        subsets += [tuple(rng.sample(sh.labels, rng.randint(1, len(sh))))
+                    for _ in range(8)]
+        for labels in subsets:
+            saturated = tuple(sorted({sh.mult(w, s) for w in labels for s in stab}))
+            assert params.saturate_coset(labels, mask) == saturated
+            assert params.split_coset(saturated, mask) == _brute_split(params, saturated, mask)
+            if _brute_split(params, labels, mask) is None:
+                unsaturated += 1
+                with pytest.raises(AssertionError, match="not saturated"):
+                    params.split_coset(labels, mask)
+            else:
+                assert params.split_coset(labels, mask) == _brute_split(params, labels, mask)
+    if len(sh) > 1:
+        assert unsaturated
+
+
+def test_hnf_membership_matches_smith_solve(params_q, params_qi, params_qi7):
+    rng = random.Random(71)
+    bases = []
+    for params in (params_q, params_qi, params_qi7):
+        for i in range(len(params.places)):
+            for k in range(1, params.residue_cap(i) + 1):
+                bases.append(params._valuation_lattice(i, k))
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            entries.append([2 * x for x in entries[0]])
+        bases.append(hermite_normal_form(IntMatrix(entries))[0])
+    outcomes = set()
+    for h in bases:
+        for _ in range(12):
+            if rng.random() < 0.5:
+                vec = [rng.randint(-40, 40) for _ in range(h.cols)]
+            else:
+                combo = [rng.randint(-3, 3) for _ in range(h.rows)]
+                vec = [sum(c * row[j] for c, row in zip(combo, h.entries))
+                       for j in range(h.cols)]
+            expected = lattice_contains(h, vec)
+            outcomes.add(expected)
+            assert _in_hnf_span(h, vec) is expected
+    assert outcomes == {True, False}
+
+
 # -- Brute force oracle ------------------------------------------------------------------
 
 
@@ -410,8 +588,6 @@ def _coset_matches(params, key, rho_elem, w):
     gamma = rho_elem / anchor
     sh = params.shimura
     lattice_rows = ring.multiplication_rows(exact_m)
-    from cmforge.lattice import hermite_normal_form, lattice_contains, vstack
-
     h, _ = hermite_normal_form(vstack(lattice_rows, sh.residues.lattice))
     for u in sh._class_of:
         diff = [a - b for a, b in zip(ring.coords(sh.residues.element(u) - gamma), [0] * ring.degree)]

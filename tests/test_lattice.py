@@ -424,6 +424,17 @@ def test_vstack_and_shapes():
     assert right_kernel(IntMatrix([[1, 1]])) == IntMatrix([[1, -1]])
 
 
+def test_empty_matrices_keep_their_width():
+    assert (IntMatrix.zero(0, 3).rows, IntMatrix.zero(0, 3).cols) == (0, 3)
+    assert IntMatrix.zero(2, 3).cols == 3
+    empty = kernel_lattice(IntMatrix.identity(3))
+    assert (empty.rows, empty.cols) == (0, 3)
+    product = empty * IntMatrix.identity(3)
+    assert (product.rows, product.cols) == (0, 3)
+    assert vstack(empty, IntMatrix([[1, 2, 3]])) == IntMatrix([[1, 2, 3]])
+    assert right_kernel(IntMatrix.identity(2)).cols == 2
+
+
 # -- Alternating congruence normal form ---------------------------------------
 
 
