@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CyclotomicElement, _poly_divmod, cyclotomic_polynomial
-from .lattice import IntMatrix, hermite_normal_form, solve_int_rowspan, vstack
+from .lattice import IntMatrix, hermite_normal_form, hnf_reduce, solve_int_rowspan, vstack
 
 TOP = "top"
 EXACT = "exact"
@@ -192,14 +192,7 @@ class ResidueRing:
         self.size = size
 
     def reduce(self, coords) -> Tuple[int, ...]:
-        v = [int(c) for c in coords]
-        h = self.lattice.entries
-        for i in range(len(v)):
-            q = v[i] // h[i][i]
-            if q:
-                for j in range(i, len(v)):
-                    v[j] -= q * h[i][j]
-        return tuple(v)
+        return hnf_reduce(self.lattice, [int(c) for c in coords])[1]
 
     def element(self, coords) -> CyclotomicElement:
         return self.ring.from_coords(self.reduce(coords))
@@ -239,22 +232,6 @@ class ResidueRing:
         h = self.lattice.entries
         ranges = [range(h[i][i]) for i in range(self.lattice.rows)]
         return [self.reduce(v) for v in itertools.product(*ranges)]
-
-
-def _in_hnf_span(h: IntMatrix, vector) -> bool:
-    """Whether the integer row vector lies in the row span of h, a Hermite
-    normal form: reduce it by the echelon rows, pivot by pivot, and check
-    that nothing is left.  Rows below the pivot rows are zero."""
-    v = list(vector)
-    for row in h.entries:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            break
-        q = v[p] // row[p]
-        if q:
-            for j in range(p, len(v)):
-                v[j] -= q * row[j]
-    return not any(v)
 
 
 # -- Prime enumeration -------------------------------------------------------------
@@ -625,9 +602,9 @@ class FiniteLevelParams:
         (TOP, cap) when the residue is divisible by the full cap power.
         """
         cap = self.residue_cap(index)
-        vec = list(self.residues.reduce(coords))
+        vec = self.residues.reduce(coords)
         v = 0
-        while v < cap and _in_hnf_span(self._valuation_lattice(index, v + 1), vec):
+        while v < cap and not any(hnf_reduce(self._valuation_lattice(index, v + 1), vec)[1]):
             v += 1
         if v >= cap:
             return (TOP, cap)
@@ -674,7 +651,7 @@ class FiniteLevelParams:
         one = self.shimura.residues.one()
         stab = {
             label for u, label in self.shimura._class_of.items()
-            if _in_hnf_span(h, [a - b for a, b in zip(u, one)])
+            if not any(hnf_reduce(h, [a - b for a, b in zip(u, one)])[1])
         }
         table = {}
         for w in self.shimura.labels:
@@ -696,8 +673,13 @@ class FiniteLevelParams:
         Each label's coset is looked up in the coset table of the mask; one
         coset is returned as it stands, several are merged and sorted.
         """
+        if isinstance(labels, str):
+            raise ValueError("expected a sequence of ray class labels, got %r" % labels)
         table = self._coset_table(exact_mask)
-        cosets = {table[w] for w in labels}
+        try:
+            cosets = {table[w] for w in labels}
+        except KeyError as exc:
+            raise ValueError("unknown ray class label %r" % (exc.args[0],)) from None
         if len(cosets) == 1:
             return cosets.pop()
         return tuple(sorted(set().union(*cosets)))

@@ -390,7 +390,37 @@ def hermite_normal_form(M: IntMatrix):
         r += 1
         if r == rows:
             break
-    return IntMatrix(a), IntMatrix(u)
+    return (IntMatrix(a) if rows else IntMatrix.zero(0, cols)), IntMatrix(u)
+
+
+def hnf_reduce(h: IntMatrix, vector):
+    """Reduce an integer row vector against a Hermite form: (q, r).
+
+    vector = q·h + r, and r[p] lies in [0, h[i][p]) at the pivot column p
+    of each nonzero row i.  Rows are taken in order, and a row is zero left
+    of its pivot, so no step undoes an earlier one.  The vector lies in the
+    row span of h exactly when r is zero: the first nonzero entry of a
+    nonzero combination of the rows sits at a pivot column and is a
+    multiple of that pivot, which no nonzero r can match.
+    """
+    r = list(vector)
+    n = len(r)
+    if n != h.cols:
+        raise ValueError("vector length mismatch")
+    q = [0] * h.rows
+    p = 0
+    for i, row in enumerate(h.entries):
+        while p < n and not row[p]:
+            p += 1
+        if p == n:
+            break
+        c = r[p] // row[p]
+        if c:
+            q[i] = c
+            for j in range(p, n):
+                r[j] -= c * row[j]
+        p += 1
+    return tuple(q), tuple(r)
 
 
 def kernel_lattice(M: IntMatrix) -> IntMatrix:
@@ -475,41 +505,23 @@ def solution_sublattice(conditions, ambient_rank=None) -> IntMatrix:
 
 def lattice_contains(basis: IntMatrix, vector) -> bool:
     """Whether the integer row vector lies in the row span of ``basis``."""
-    if basis.rows == 0:
-        return all(x == 0 for x in vector)
-    sol = solve_int_rowspan(basis, vector)
-    return sol is not None
+    return solve_int_rowspan(basis, vector) is not None
 
 
 def solve_int_rowspan(basis: IntMatrix, vector):
     """Integer coefficients expressing ``vector`` in the rows of ``basis``.
 
     Returns a tuple c with c·basis = vector, or None when no integer
-    solution exists.
+    solution exists.  With U·basis = H in Hermite form, reduce the vector
+    against H: vector = y·H + r.  A remainder r means the vector is off the
+    lattice; otherwise vector = y·H = (y·U)·basis, so c = y·U.  When the
+    rows of ``basis`` are dependent the solution is one of many.
     """
-    u, d, v = smith_normal_form(basis)
-    # x·basis = vector  with x = y·U:  y·D = vector·V
-    t = tuple(vector)
-    if len(t) != basis.cols:
-        raise ValueError("vector length mismatch")
-    w = v.act_on_row(t)
-    y = []
-    n = min(basis.rows, basis.cols)
-    for i in range(basis.rows):
-        di = d.entries[i][i] if i < n else 0
-        wi = w[i] if i < len(w) else 0
-        if di == 0:
-            if i < len(w) and wi != 0:
-                return None
-            y.append(0)
-        else:
-            if wi % di != 0:
-                return None
-            y.append(wi // di)
-    for i in range(basis.rows, len(w)):
-        if w[i] != 0:
-            return None
-    return u.act_on_row(y) if basis.rows else tuple()
+    h, u = hermite_normal_form(basis)
+    y, r = hnf_reduce(h, vector)
+    if any(r):
+        return None
+    return u.act_on_row(y)
 
 
 def int_matrix_inverse(M: IntMatrix) -> IntMatrix:

@@ -14,6 +14,7 @@ import pytest
 from cmforge.arith import (
     arithmetic_element,
     cm_context,
+    criterion_check,
     gamma_invariance_check,
     property_v_vi_report,
     support_check,
@@ -45,3 +46,29 @@ def test_sampled_checks_hold(context):
     assert gamma_invariance_check(element, random.Random(6), samples=30) == {
         "holds": True, "samples": 30,
     }
+
+
+def test_criterion_full_group_holds(context):
+    report = criterion_check(context.space, gamma="full", rng=random.Random(7))
+    assert report["verdict"] is True
+    assert report["condition_one"] == {
+        "holds": True, "witness_multiplier": "-1", "witness_integral": True,
+    }
+    assert report["condition_two"] == {"holds": True, "samples": 20, "counterexample": None}
+
+
+def test_criterion_trivial_group_fails_at_first_sample(context):
+    report = criterion_check(context.space, gamma="trivial", rng=random.Random(7))
+    assert report["verdict"] is False
+    assert report["condition_one"]["holds"] is False
+    two = report["condition_two"]
+    assert two["holds"] is False
+    assert two["samples"] == 1
+    assert two["counterexample"]["sample"] == 0
+
+
+def test_criterion_rejects_bad_arguments(context):
+    with pytest.raises(ValueError, match="gamma"):
+        criterion_check(context.space, gamma="half", rng=random.Random(7))
+    with pytest.raises(ValueError, match="random source"):
+        criterion_check(context.space, gamma="full", rng=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmforge.bc import build_params
 from cmforge.galois import builtin_scenario
 from cmforge.lattice import (
     FGAbelianGroup,
@@ -21,6 +22,7 @@ from cmforge.lattice import (
     frac_nullspace,
     frac_solve,
     hermite_normal_form,
+    hnf_reduce,
     int_matrix_inverse,
     kernel_lattice,
     lattice_contains,
@@ -338,6 +340,110 @@ def test_solve_int_rowspan():
     assert solve_int_rowspan(basis, (1, 0)) is None
     assert lattice_contains(basis, (4, 9))
     assert not lattice_contains(basis, (4, 10))
+
+
+def _snf_solve(basis, vector):
+    """Reference row-span solve through the Smith form: with U·basis·V = D,
+    x·basis = vector for x = y·U exactly when y·D = vector·V."""
+    u, d, v = smith_normal_form(basis)
+    t = tuple(vector)
+    if len(t) != basis.cols:
+        raise ValueError("vector length mismatch")
+    w = v.act_on_row(t)
+    y = []
+    n = min(basis.rows, basis.cols)
+    for i in range(basis.rows):
+        di = d.entries[i][i] if i < n else 0
+        wi = w[i] if i < len(w) else 0
+        if di == 0:
+            if i < len(w) and wi != 0:
+                return None
+            y.append(0)
+        else:
+            if wi % di != 0:
+                return None
+            y.append(wi // di)
+    for i in range(basis.rows, len(w)):
+        if w[i] != 0:
+            return None
+    return u.act_on_row(y) if basis.rows else tuple()
+
+
+def test_empty_basis_solves_only_zero():
+    empty = IntMatrix.zero(0, 3)
+    h, u = hermite_normal_form(empty)
+    assert (h.rows, h.cols) == (0, 3)
+    assert hnf_reduce(h, (1, 0, 2)) == ((), (1, 0, 2))
+    assert solve_int_rowspan(empty, (0, 0, 0)) == ()
+    assert solve_int_rowspan(empty, (0, 1, 0)) is None
+    assert lattice_contains(empty, (0, 0, 0))
+    assert not lattice_contains(empty, (0, 0, -4))
+    with pytest.raises(ValueError, match="length"):
+        solve_int_rowspan(empty, (0, 0))
+
+
+def _valuation_lattices():
+    out = []
+    for ring, modulus, bound, cap in (("Q", (2,), 3, 2), ("Q(i)", (3, 0), 10, 1),
+                                      ("Q(i)", (7, 0), 10, 1)):
+        params = build_params(ring, modulus, bound, cap=cap)
+        for i in range(len(params.places)):
+            for k in range(1, params.residue_cap(i) + 1):
+                out.append(params._valuation_lattice(i, k))
+    return out
+
+
+def test_solve_matches_smith_solve():
+    rng = random.Random(71)
+    bases = [IntMatrix.zero(0, c) for c in (1, 2, 4)] + _valuation_lattices()
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        kind = rng.random()
+        if kind < 0.3:  # a dependent row
+            entries.append([2 * x - y for x, y in zip(entries[0], entries[-1])])
+        elif kind < 0.5:  # rank deficient: every row a multiple of one
+            entries = [[k * x for x in entries[0]] for k in range(-2, rows)]
+        bases.append(IntMatrix(entries))
+    outcomes = set()
+    for basis in bases:
+        for _ in range(12):
+            if rng.random() < 0.5 or not basis.rows:
+                vec = [rng.randint(-40, 40) for _ in range(basis.cols)]
+            else:
+                combo = [rng.randint(-3, 3) for _ in range(basis.rows)]
+                vec = basis.act_on_row(combo)
+            expected = _snf_solve(basis, vec)
+            got = solve_int_rowspan(basis, vec)
+            outcomes.add(got is not None)
+            assert (got is None) == (expected is None)
+            assert lattice_contains(basis, vec) is (got is not None)
+            if got is not None:
+                assert len(got) == basis.rows
+                assert basis.act_on_row(got) == tuple(vec)
+    assert outcomes == {True, False}
+
+
+def test_hnf_reduce_quotient_and_remainder():
+    rng = random.Random(73)
+    forms = _valuation_lattices()
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        forms.append(hermite_normal_form(IntMatrix(entries))[0])
+    for h in forms:
+        pivots = [(i, next(j for j, x in enumerate(row) if x))
+                  for i, row in enumerate(h.entries) if any(row)]
+        for _ in range(12):
+            vec = tuple(rng.randint(-60, 60) for _ in range(h.cols))
+            q, r = hnf_reduce(h, vec)
+            assert len(q) == h.rows
+            assert tuple(a + b for a, b in zip(h.act_on_row(q), r)) == vec
+            for i, p in pivots:
+                assert 0 <= r[p] < h.entries[i][p]
+            # the remainder is canonical: shifting by a lattice vector keeps it
+            shift = h.act_on_row([rng.randint(-3, 3) for _ in range(h.rows)])
+            assert hnf_reduce(h, [a + b for a, b in zip(vec, shift)])[1] == r
 
 
 # -- condition solver --------------------------------------------------------
