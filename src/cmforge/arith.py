@@ -30,10 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bc import EXACT, FiniteLevelParams, GroupoidArrow, sample_arrow
+from .bc import FiniteLevelParams, GroupoidArrow, sample_arrow
 from .cyclotomic import CyclotomicElement, multiplication_matrix
 from .galois import FieldHandle, builtin_scenario
-from .lattice import frac_identity, frac_inv, frac_matmul
+from .lattice import frac_inv, frac_matmul
 from .modular import (
     HalfPlanePoint,
     ModularOracle,
@@ -159,14 +159,6 @@ class CMContext:
     def lift(self, residue_coords) -> CyclotomicElement:
         """Canonical integral element reducing to the given residue."""
         return self.params.ring.from_coords(self.params.residues.reduce(residue_coords))
-
-    def unit_element(self, arrow_unit, exponents) -> CyclotomicElement:
-        """Exact lift of the unit residue times the prime power part."""
-        x = self.lift(arrow_unit)
-        for place, e in zip(self.params.places, exponents):
-            if e:
-                x = x * place.element ** e
-        return x
 
     def monoid_matrix(self, rho_coords) -> Tuple[Tuple[int, ...], ...]:
         """Multiplication matrix of the monoid lift, columns reduced mod M.

@@ -33,7 +33,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CyclotomicElement, _poly_divmod, cyclotomic_polynomial
-from .lattice import IntMatrix, hermite_normal_form, hnf_reduce, solve_int_rowspan, vstack
+from .lattice import (
+    IntMatrix,
+    hermite_normal_form,
+    hnf_reduce,
+    prime_factors,
+    solve_int_rowspan,
+    vstack,
+)
 
 TOP = "top"
 EXACT = "exact"
@@ -542,16 +549,8 @@ class FiniteLevelParams:
         if norm > 10 ** 6:
             raise ValueError("modulus norm is too large for prime factorization")
         out = []
-        n = int(norm)
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                while n % p == 0:
-                    n //= p
-                out.extend(self._primes_above_if_new(p, window))
-            p += 1
-        if n > 1:
-            out.extend(self._primes_above_if_new(n, window))
+        for p in prime_factors(int(norm)):
+            out.extend(self._primes_above_if_new(p, window))
         return out
 
     def _primes_above_if_new(self, p: int, window) -> List[PrimeData]:
@@ -1127,8 +1126,7 @@ def kms_state_labels(params: FiniteLevelParams) -> Tuple[str, ...]:
 def symmetry_action(f: AlgebraElement, unit_coords, exponents) -> AlgebraElement:
     """Push the class slot by the ray class of the idele (unit, exponents)."""
     params = f.params
-    cls = params.class_of_unit(unit_coords)
-    cls = params.shimura.mult(cls, params.class_of_exponents(list(exponents)))
+    cls = symmetry_class(params, unit_coords, exponents)
     out = {}
     for key, coeff in f.terms.items():
         coset = tuple(sorted(params.shimura.mult(w, cls) for w in key.wcoset))
@@ -1207,9 +1205,9 @@ class GroupoidArrow:
         anchor = one
         exact_part = one
         top_part = one
-        for (kind, v), place in zip(pattern, params.places):
+        for i, ((kind, v), place) in enumerate(zip(pattern, params.places)):
             anchor = anchor * place.element ** v
-            cap = place.m_valuation + (params.cap if place.in_window else 0)
+            cap = params.residue_cap(i)
             if kind == EXACT:
                 exact_part = exact_part * place.element ** cap
             else:

@@ -53,10 +53,6 @@ class IntMatrix:
         object.__setattr__(m, "cols", cols)
         return m
 
-    @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(rows)
-
     # -- basic protocol ----------------------------------------------------
 
     def __getitem__(self, ij):
@@ -522,6 +518,22 @@ def solve_int_rowspan(basis: IntMatrix, vector):
     if any(r):
         return None
     return u.act_on_row(y)
+
+
+def prime_factors(n: int) -> list:
+    """The distinct primes dividing n, in increasing order, by trial division."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def int_matrix_inverse(M: IntMatrix) -> IntMatrix:

@@ -44,8 +44,8 @@ from .lattice import (
     hermite_normal_form,
     int_matrix_inverse,
     lattice_intersection,
+    prime_factors,
     right_kernel,
-    smith_normal_form,
     solution_sublattice,
     vstack,
 )
@@ -225,18 +225,6 @@ class SymplecticSpace:
                     if gij:
                         acc += xi * gij * Fraction(y[j])
         return acc
-
-    def elements_from_coords(self, coords):
-        """Split a coordinate vector into one field element per summand."""
-        out = []
-        for off, s in zip(self.offsets(), self.summands):
-            x = CyclotomicElement.zero(s.basis[0].n)
-            for k in range(s.degree):
-                c = Fraction(coords[off + k])
-                if c:
-                    x = x + s.basis[k] * c
-            out.append(x)
-        return tuple(out)
 
     def in_lattice(self, coords) -> bool:
         return all(Fraction(c).denominator == 1 for c in coords)
@@ -523,15 +511,8 @@ def similitude_subtorus(E: FieldHandle):
     ok, _ = is_cm(E)
     if not ok:
         raise ValueError("the similitude subtorus needs a CM field")
-    F = maximal_totally_real_subfield(E)
     te = torus_of_field(E)
-    norm_map = norm_morphism(E, F).char_map
-    pulled = []
-    for k in range(F.degree - 1):
-        char = [0] * F.degree
-        char[k] = 1
-        char[k + 1] = -1
-        pulled.append(norm_map.apply(char))
+    pulled = _annihilator_rows(E)
     if pulled:
         surjection = right_kernel(IntMatrix(pulled))
     else:
@@ -818,20 +799,6 @@ def gsp_realization(point: CMPointData, morphism: TorusMorphism, x) -> GSpElemen
 # ---------------------------------------------------------------------------
 
 
-def _prime_factors(n: int):
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 class AdelicGSp:
     """Finite-adelic similitude with finite support and a rational tail.
 
@@ -845,7 +812,7 @@ class AdelicGSp:
     def __init__(self, space: SymplecticSpace, local, tail: GSpElement | None = None):
         parts = {}
         for p, g in dict(local).items():
-            if not (p >= 2 and _prime_factors(p) == {p}):
+            if prime_factors(p) != [p]:
                 raise ValueError(f"support contains the non-prime {p}")
             if g.space != space:
                 raise ValueError("local part lives on a different space")
@@ -879,10 +846,10 @@ class AdelicGSp:
         primes = set()
         for row in self.tail.matrix:
             for x in row:
-                primes |= _prime_factors(Fraction(x).denominator)
+                primes.update(prime_factors(Fraction(x).denominator))
         nu = self.tail.similitude
-        primes |= _prime_factors(nu.numerator)
-        primes |= _prime_factors(nu.denominator)
+        primes.update(prime_factors(nu.numerator))
+        primes.update(prime_factors(nu.denominator))
         return primes
 
     def is_everywhere_integral(self) -> bool:
@@ -909,8 +876,12 @@ def decompose_gsp(f: AdelicGSp):
 
     Returns (q, gamma) with q rational of positive multiplier, gamma equal
     to q^{-1}·f and integral with unit similitude at every prime.  The
-    lattice moved by f is computed prime by prime through Smith normal
-    form, its pairing is matched against the reference pairing through the
+    lattice moved by f is glued prime by prime: it is the tail's column
+    lattice away from the support and g's column lattice at each stored
+    prime p, since g's own columns span g·Z_p^n.  The glue keeps only the
+    p-local lattice of its candidate and returns a Hermite form, so the
+    glued basis does not depend on which basis of g·Z_p^n is passed.  Its
+    pairing is matched against the reference pairing through the
     alternating Frobenius form, and the resulting basis is the rational
     part.  Both factors are exact; the product returns f on the nose.
     """
@@ -922,38 +893,17 @@ def decompose_gsp(f: AdelicGSp):
         nu *= Fraction(p) ** (_valuation(g.similitude, p) - _valuation(tail.similitude, p))
     basis = [list(row) for row in _transpose(tail.matrix)]
     for p, g in f.local.items():
-        relative = frac_matmul(frac_inv(tail.matrix), g.matrix)
-        denom = common_denominator(relative)
-        integral = IntMatrix([[int(x * denom) for x in row] for row in relative])
-        u, d, _ = smith_normal_form(integral)
-        u_inv = int_matrix_inverse(u)
-        shift = _valuation(Fraction(denom), p)
-        scale = [
-            Fraction(p) ** (_valuation(Fraction(d[k, k]), p) - shift) for k in range(n)
-        ]
-        cols = [[u_inv[i, k] * scale[k] for k in range(n)] for i in range(n)]
-        local_rows = [
-            [
-                sum(Fraction(tail.matrix[i][j]) * cols[j][k] for j in range(n))
-                for i in range(n)
-            ]
-            for k in range(n)
-        ]
-        basis = _replace_at_prime(basis, local_rows, p)
+        basis = _replace_at_prime(basis, list(_transpose(g.matrix)), p)
     gram_m = [
         [space.psi(basis[i], basis[j]) for j in range(n)] for i in range(n)
     ]
     w_m, inv_m = _scaled_frobenius(gram_m)
-    w_g, inv_g = _scaled_frobenius([list(r) for r in space.gram])
+    _, w_g_inv, inv_g = _frobenius_frame(space)
     if len(inv_m) != len(inv_g) or any(
         a != nu * b for a, b in zip(inv_m, inv_g)
     ):
         raise AssertionError("the moved lattice does not scale the pairing by nu")
-    adapted = frac_matmul(
-        frac_matmul(frac_inv([[Fraction(x) for x in row] for row in w_g.entries]),
-                    [[Fraction(x) for x in row] for row in w_m.entries]),
-        basis,
-    )
+    adapted = frac_matmul(frac_matmul(w_g_inv.entries, w_m.entries), basis)
     q = GSpElement(space, _transpose(adapted))
     if q.similitude != nu:
         raise AssertionError("rational part has the wrong multiplier")
@@ -1062,10 +1012,14 @@ def sample_integral_symplectic(space: SymplecticSpace, rng, steps: int = 4) -> G
 
 @lru_cache(maxsize=None)
 def _frobenius_frame(space: SymplecticSpace):
-    """Unimodular basis change P with Pᵀ·gram·P in adjacent-pair block form."""
-    w, _ = _scaled_frobenius([list(r) for r in space.gram])
-    p_mat = w.transpose()
-    return p_mat, int_matrix_inverse(p_mat)
+    """Frobenius data of the space's pairing, computed once per space.
+
+    Returns (W, W⁻¹, invariants): W is integral unimodular with W·gram·Wᵀ
+    in adjacent-pair block form, and the invariants are those of
+    `_scaled_frobenius`.
+    """
+    w, invariants = _scaled_frobenius(space.gram)
+    return w, int_matrix_inverse(w), invariants
 
 
 def sample_local_similitude(
@@ -1078,7 +1032,7 @@ def sample_local_similitude(
     are p-power multiples of integers; integral transvections on both
     sides hide the diagonal shape.
     """
-    frame, frame_inv = _frobenius_frame(space)
+    w, w_inv, _ = _frobenius_frame(space)
     m = rng.randint(-2, max_val)
     lo, hi = min(0, m), max(0, m)
     exponents = []
@@ -1088,7 +1042,7 @@ def sample_local_similitude(
     conjugated = [
         [
             sum(
-                Fraction(frame[i, k]) * Fraction(p) ** exponents[k] * frame_inv[k, j]
+                Fraction(w[k, i]) * Fraction(p) ** exponents[k] * w_inv[j, k]
                 for k in range(space.dim)
             )
             for j in range(space.dim)

@@ -48,9 +48,6 @@ class Torus:
     def act(self, g) -> IntMatrix:
         return self.lattice.act(g)
 
-    def act_character(self, g, char):
-        return self.act(g).apply(char)
-
     def act_cocharacter(self, g, vector):
         return self.act(self.scenario.inverse(g)).act_on_row(vector)
 

@@ -5,6 +5,9 @@ the CM point i, so the j-oracle must read j(i) = 1728 at every state, and
 the calibration twist diag(1, 2) moves the point to 2i, where
 j(2i) = 66^3 = 287496.  The sampled checks draw arrows whose validity
 and orbit keys go through residue valuations, so they guard that code.
+The realization maps are checked on sampled arrows: omega intertwines
+the two-sided unit translations, and theta's adjoint class survives a
+decomposition twist.
 """
 
 import random
@@ -12,15 +15,24 @@ import random
 import pytest
 
 from cmforge.arith import (
+    adjoint_equivalent,
     arithmetic_element,
     cm_context,
     criterion_check,
     gamma_invariance_check,
+    level_idele,
+    level_unit_of,
+    omega_map,
     property_v_vi_report,
+    shimura_arrows_congruent,
+    shimura_base_point,
     support_check,
+    theta_map,
+    translate_shimura,
 )
-from cmforge.bc import build_params
+from cmforge.bc import build_params, sample_arrow, sample_unit_residue
 from cmforge.modular import j_oracle
+from cmforge.symplectic import sample_integral_symplectic
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +84,32 @@ def test_criterion_rejects_bad_arguments(context):
         criterion_check(context.space, gamma="half", rng=random.Random(7))
     with pytest.raises(ValueError, match="random source"):
         criterion_check(context.space, gamma="full", rng=None)
+
+
+def test_omega_map_intertwines_unit_translations(context):
+    params = context.params
+    rng = random.Random(5)
+    for _ in range(30):
+        arrow = sample_arrow(params, rng)
+        g1 = sample_unit_residue(params, rng)
+        g2 = sample_unit_residue(params, rng)
+        assert shimura_arrows_congruent(
+            translate_shimura(omega_map(context, arrow), g1, g2),
+            omega_map(context, arrow.translated(g1, g2)),
+        )
+
+
+def test_theta_map_adjoint_class_and_base_point(context):
+    params = context.params
+    rng = random.Random(11)
+    for _ in range(8):
+        arrow = sample_arrow(params, rng)
+        theta = theta_map(context, arrow)
+        assert adjoint_equivalent(theta, theta)
+        delta = sample_integral_symplectic(context.space, rng)
+        twisted = theta_map(context, arrow, decomposition_twist=delta)
+        assert adjoint_equivalent(theta, twisted)
+        idele = level_idele(context, level_unit_of(context, arrow.w))
+        alpha, _, z = shimura_base_point(context, idele)
+        assert alpha == theta.alpha
+        assert z == theta.z

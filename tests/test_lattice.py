@@ -27,6 +27,7 @@ from cmforge.lattice import (
     kernel_lattice,
     lattice_contains,
     lattice_intersection,
+    prime_factors,
     right_kernel,
     smith_normal_form,
     solution_sublattice,
@@ -495,6 +496,15 @@ def test_int_matrix_inverse():
     rng = random.Random(3)
     m = random_unimodular(3, rng)
     assert m * int_matrix_inverse(m) == IntMatrix.identity(3)
+
+
+def test_prime_factors_match_brute_force():
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, p))]
+    for n in range(1, 2001):
+        expected = [p for p in primes if n % p == 0]
+        assert prime_factors(n) == expected
+        assert prime_factors(-n) == expected
+    assert prime_factors(0) == []
 
 
 def test_clear_denominators():

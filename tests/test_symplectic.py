@@ -1,5 +1,6 @@
 """Trace pairings, similitude groups, character maps, and adelic factorization."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from cmforge.symplectic import (
     phi_morphism,
     sample_adelic_gsp,
     sample_integral_symplectic,
+    sample_local_similitude,
     similitude_norm,
     similitude_subtorus,
     standard_j,
@@ -383,6 +385,43 @@ def test_decompose_ambiguity_is_integral_unit(qi_field):
         assert all(x.denominator == 1 for row in delta.matrix for x in row)
         inv = delta.inverse()
         assert all(x.denominator == 1 for row in inv.matrix for x in row)
+
+
+@pytest.fixture(scope="module")
+def decompose_spaces(qi_field, z5_field):
+    z7_field = builtin_scenario("cyclotomic-7").ambient_field()
+    return {
+        2: standard_space(qi_field),
+        4: integral_symplectic_basis(build_symplectic_space([z5_field]))[0],
+        6: integral_symplectic_basis(build_symplectic_space([z7_field]))[0],
+    }
+
+
+# case -> (dim, draws, seed, whether the tail is a random 7-adic similitude,
+#          SHA-256 of the (q, gamma) matrices the Smith-form gluing returned)
+DECOMPOSE_GOLDENS = {
+    "dim2": (2, 12, 31, False, "6bc3e526731bb7cec191f6cf91b09df841f37eab92e6907181c346a2f89a8203"),
+    "dim4": (4, 4, 37, False, "8ffc11ec7d51e14df67c0dbba042b328b48b66eb0e78e680201ec681493d0d79"),
+    "dim6": (6, 2, 41, False, "b44086d326c9690fb1be56e8088619f2dcdfdb76938caad751bbf5dc6315414f"),
+    "tail2": (2, 6, 43, True, "ab32e3931bb440a911c0a2e08d1b22a875d05e92c2df2a337441016932e26065"),
+    "tail4": (4, 2, 47, True, "d748e9ecbbfcb33658a395c667afd7c7940161202985675c0aab21c6e0b2f987"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSE_GOLDENS))
+def test_decompose_outputs_are_unchanged(case, decompose_spaces):
+    dim, draws, seed, tailed, golden = DECOMPOSE_GOLDENS[case]
+    space = decompose_spaces[dim]
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(draws):
+        f = sample_adelic_gsp(space, [2, 3, 5], rng)
+        if tailed:
+            f = AdelicGSp(space, f.local, tail=sample_local_similitude(space, 7, rng))
+        q, gamma = decompose_gsp(f)
+        parts.append((q.matrix, gamma.tail.matrix,
+                      [(p, g.matrix) for p, g in sorted(gamma.local.items())]))
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == golden
 
 
 def test_sampler_is_deterministic(qi_field):
