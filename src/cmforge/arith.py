@@ -269,9 +269,6 @@ class ShimuraArrow:
             local[p] = g
         return AdelicGSp(ctx.space, local, tail=self.unit_part)
 
-    def is_unit_monoid(self) -> bool:
-        return self.context.params.residues.is_unit(self.rho)
-
     def __repr__(self):
         return "ShimuraArrow(exponents=%r, level=%r)" % (self.exponents, self.level)
 
@@ -422,35 +419,21 @@ def theta_map(
     context: CMContext,
     arrow: GroupoidArrow,
     *,
-    level_unit=None,
     decomposition_twist: Optional[GSpElement] = None,
 ) -> ThetaData:
     """Carry an arrow to the moduli side through the level decomposition.
 
-    The level idele of the arrow splits as alpha times beta; the group
-    part of the image is the realized arrow times the inverse of beta,
-    the monoid part is beta times the multiplication matrix, and the
-    base point is the CM point moved by the inverse of alpha.
-
-    The level representative defaults to the canonical residue of the
-    arrow's class.  An orbit move replaces the class by a translate, and
-    recomputing with the transported representative (the old one times
-    the inverse translation) must land in the same adjoint orbit; a
-    representative from the wrong class is rejected.  A decomposition
-    twist by an integral element of positive multiplier replaces
-    (alpha, beta) with (alpha delta, delta^{-1} beta) and must not change
-    the adjoint class either.
+    The level idele of the arrow is realized from the canonical unit
+    residue of its class (`level_unit_of`) and splits as alpha times
+    beta; the group part of the image is the realized arrow times the
+    inverse of beta, the monoid part is beta times the multiplication
+    matrix, and the base point is the CM point moved by the inverse of
+    alpha.  A decomposition twist by an integral element of positive
+    multiplier replaces (alpha, beta) with (alpha delta, delta^{-1} beta)
+    and leaves the adjoint class unchanged.
     """
     sh = omega_map(context, arrow)
-    params = context.params
-    if level_unit is None:
-        level_unit = level_unit_of(context, arrow.w)
-    level_unit = params.residues.reduce(level_unit)
-    if params.class_of_unit(level_unit) != arrow.w:
-        raise ValueError(
-            "level representative lies in class %s, the arrow carries %s"
-            % (params.class_of_unit(level_unit), arrow.w)
-        )
+    level_unit = level_unit_of(context, arrow.w)
     cached = context._level_cache.get(level_unit)
     if cached is None:
         alpha, beta = decompose_gsp(level_idele(context, level_unit))

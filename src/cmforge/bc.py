@@ -181,11 +181,19 @@ def builtin_ring(name: str) -> RingData:
 
 
 class ResidueRing:
-    """The quotient of a ring of integers by a principal ideal."""
+    """The quotient O/(modulus) of a ring of integers by a principal ideal.
 
-    __slots__ = ("ring", "modulus", "lattice", "size")
+    `primes` lists a generator of every prime ideal P dividing the modulus,
+    each once.  Every divisibility question about a residue is one reduction
+    against the ring's table of Hermite forms of P^k + (modulus), keyed by
+    (prime index, k) and built on first use.  x is a unit exactly when no
+    listed P contains it: O is Dedekind, so x·O + (modulus) = O unless a
+    maximal ideal holds both, and those holding the modulus are the primes.
+    """
 
-    def __init__(self, ring: RingData, modulus: CyclotomicElement):
+    __slots__ = ("ring", "modulus", "primes", "lattice", "size", "_prime_forms")
+
+    def __init__(self, ring: RingData, modulus: CyclotomicElement, primes):
         self.ring = ring
         self.modulus = modulus
         rows = ring.multiplication_rows(modulus)
@@ -197,6 +205,23 @@ class ResidueRing:
         for i in range(h.rows):
             size *= h.entries[i][i]
         self.size = size
+        self.primes = tuple(primes)
+        self._prime_forms = {}
+        if any(self.in_prime_power(self.one(), i, 1) for i in range(len(self.primes))):
+            raise ValueError("a listed prime does not divide the modulus")
+
+    def prime_power_form(self, index: int, k: int) -> IntMatrix:
+        """Hermite form of P^k + (modulus) for P = primes[index]."""
+        form = self._prime_forms.get((index, k))
+        if form is None:
+            power = self.ring.multiplication_rows(self.primes[index] ** k)
+            form, _ = hermite_normal_form(vstack(power, self.lattice))
+            self._prime_forms[(index, k)] = form
+        return form
+
+    def in_prime_power(self, coords, index: int, k: int) -> bool:
+        """Whether the residue lies in P^k + (modulus), P = primes[index]."""
+        return not any(hnf_reduce(self.prime_power_form(index, k), coords)[1])
 
     def reduce(self, coords) -> Tuple[int, ...]:
         return hnf_reduce(self.lattice, [int(c) for c in coords])[1]
@@ -215,13 +240,7 @@ class ResidueRing:
         return self.reduce([x + y for x, y in zip(a, b)])
 
     def is_unit(self, coords) -> bool:
-        rows = self.ring.multiplication_rows(self.ring.from_coords(coords))
-        h, _ = hermite_normal_form(vstack(rows, self.lattice))
-        d = self.ring.degree
-        return all(
-            h.entries[i][j] == (1 if i == j else 0)
-            for i in range(d) for j in range(d)
-        )
+        return not any(self.in_prime_power(coords, i, 1) for i in range(len(self.primes)))
 
     def inverse(self, coords) -> Tuple[int, ...]:
         rows = self.ring.multiplication_rows(self.ring.from_coords(coords))
@@ -415,10 +434,10 @@ class ShimuraSet:
     __slots__ = ("ring", "modulus", "residues", "labels", "_class_of", "_mult",
                  "_inverse", "identity", "artin_labels", "representatives")
 
-    def __init__(self, ring: RingData, modulus: CyclotomicElement):
+    def __init__(self, ring: RingData, modulus: CyclotomicElement, primes):
         self.ring = ring
         self.modulus = modulus
-        ring_mod = ResidueRing(ring, modulus)
+        ring_mod = ResidueRing(ring, modulus, primes)
         units = [u for u in ring_mod.enumerate(limit=20000) if ring_mod.is_unit(u)]
         unit_set = set(units)
         gens = [ring_mod.reduce(ring.coords(g)) for g in ring.unit_generators]
@@ -505,8 +524,7 @@ class FiniteLevelParams:
     """
 
     __slots__ = ("ring", "modulus", "bound", "cap", "primes", "places",
-                 "shimura", "working_modulus", "residues", "_stab_cache",
-                 "_val_lattices")
+                 "shimura", "working_modulus", "residues", "_stab_cache")
 
     def __init__(self, field: str, modulus_coords, bound: int, cap: int):
         self.ring = builtin_ring(field)
@@ -533,16 +551,16 @@ class FiniteLevelParams:
         for q in window:
             working = working * (q.element ** cap)
         self.working_modulus = working
-        self.residues = ResidueRing(self.ring, working)
-        self.shimura = ShimuraSet(self.ring, self.modulus)
         for place in self.places:
             place.m_valuation = self._valuation_of(self.modulus, place.element)
+        self.residues = ResidueRing(self.ring, working, [q.element for q in self.places])
+        self.shimura = ShimuraSet(
+            self.ring, self.modulus, [q.element for q in self.places if q.m_valuation]
+        )
+        for place in self.places:
             if place.m_valuation == 0:
-                place.class_label = self.shimura.class_of(
-                    self.ring.coords(place.element)
-                )
+                place.class_label = self.shimura.class_of(self.ring.coords(place.element))
         self._stab_cache = {}
-        self._val_lattices = {}
 
     def _modulus_only_primes(self, window: Sequence[PrimeData]) -> List[PrimeData]:
         norm = abs(self.modulus.norm())
@@ -578,21 +596,21 @@ class FiniteLevelParams:
 
     # -- local valuations of working residues -------------------------------
 
+    def place_exponents(self, exponents) -> Tuple[int, ...]:
+        """Exponents over the places: a vector over the window primes gets zeros
+        at the modulus-only places, and nonzero exponents there are rejected."""
+        exps = tuple(int(e) for e in exponents)
+        if len(exps) == len(self.primes):
+            exps += (0,) * (len(self.places) - len(self.primes))
+        if len(exps) != len(self.places):
+            raise ValueError("exponent vector length mismatch")
+        if any(e and not place.in_window for e, place in zip(exps, self.places)):
+            raise ValueError("exponents must vanish at primes outside the window")
+        return exps
+
     def residue_cap(self, index: int) -> int:
         place = self.places[index]
         return place.m_valuation + (self.cap if place.in_window else 0)
-
-    def _valuation_lattice(self, index: int, k: int) -> IntMatrix:
-        key = (index, k)
-        cached = self._val_lattices.get(key)
-        if cached is None:
-            power = self.places[index].element ** k
-            rows = vstack(
-                self.ring.multiplication_rows(power), self.residues.lattice
-            )
-            cached, _ = hermite_normal_form(rows)
-            self._val_lattices[key] = cached
-        return cached
 
     def residue_valuation(self, coords, index: int) -> Tuple[str, int]:
         """Valuation class of a working residue at one place.
@@ -603,7 +621,7 @@ class FiniteLevelParams:
         cap = self.residue_cap(index)
         vec = self.residues.reduce(coords)
         v = 0
-        while v < cap and not any(hnf_reduce(self._valuation_lattice(index, v + 1), vec)[1]):
+        while v < cap and self.residues.in_prime_power(vec, index, v + 1):
             v += 1
         if v >= cap:
             return (TOP, cap)
@@ -628,29 +646,26 @@ class FiniteLevelParams:
 
         A place with exact valuation pins its local residue up to units
         congruent to 1 modulo the full local component of m; a place in
-        the TOP state imposes nothing.  Only places dividing m matter, so
-        one table serves every mask with the same conductor.
+        the TOP state imposes nothing.  Only places dividing m matter; they
+        are the primes of the ring mod m, in order.  u is 1 modulo the
+        product of the pinned P^{v_P(m)} exactly when u - 1 lies in
+        P^{v_P(m)} + (m) for each: the powers are pairwise coprime, so
+        their product is their intersection (CRT).
         """
-        effective = tuple(
-            place.m_valuation if (exact and place.m_valuation) else 0
-            for exact, place in zip(exact_mask, self.places)
-        )
-        table = self._stab_cache.get(effective)
+        dividing = [
+            (exact, place.m_valuation)
+            for exact, place in zip(exact_mask, self.places) if place.m_valuation
+        ]
+        pinned = tuple((i, v) for i, (exact, v) in enumerate(dividing) if exact)
+        table = self._stab_cache.get(pinned)
         if table is not None:
             return table
-        conductor = CyclotomicElement.one(self.ring.cyclo_n)
-        for k, place in zip(effective, self.places):
-            if k:
-                conductor = conductor * place.element ** k
-        rows = vstack(
-            self.ring.multiplication_rows(conductor),
-            self.shimura.residues.lattice,
-        )
-        h, _ = hermite_normal_form(rows)
-        one = self.shimura.residues.one()
+        ring_mod = self.shimura.residues
+        one = ring_mod.one()
         stab = {
             label for u, label in self.shimura._class_of.items()
-            if not any(hnf_reduce(h, [a - b for a, b in zip(u, one)])[1])
+            if all(ring_mod.in_prime_power([a - b for a, b in zip(u, one)], i, k)
+                   for i, k in pinned)
         }
         table = {}
         for w in self.shimura.labels:
@@ -658,7 +673,7 @@ class FiniteLevelParams:
                 coset = tuple(sorted({self.shimura.mult(w, s) for s in stab}))
                 for member in coset:
                     table[member] = coset
-        self._stab_cache[effective] = table
+        self._stab_cache[pinned] = table
         return table
 
     def stabilizer_image(self, exact_mask: Tuple[bool, ...]) -> frozenset:
@@ -848,17 +863,9 @@ def make_key(params: FiniteLevelParams, exponents, locals_, wlabels) -> Optional
     Returns None when the data describes no valid arrow, for instance an
     exact valuation too small for the negative part of the exponents.
     """
-    exps = list(exponents)
-    places = params.places
-    if len(exps) == len(params.primes) and len(places) > len(params.primes):
-        exps = exps + [0] * (len(places) - len(params.primes))
-    if len(exps) != len(places):
-        raise ValueError("exponent vector length mismatch")
+    exps = params.place_exponents(exponents)
     norm_locals = []
-    for e, loc, place in zip(exps, locals_, places):
-        if not place.in_window and e != 0:
-            raise ValueError("exponents must vanish at primes outside the window")
-        kind, v = loc
+    for e, (kind, v) in zip(exps, locals_):
         if kind == EXACT:
             if v < 0 or v < -e:
                 return None
@@ -869,7 +876,7 @@ def make_key(params: FiniteLevelParams, exponents, locals_, wlabels) -> Optional
             raise ValueError("unknown local kind %r" % (kind,))
     mask = _exact_mask(norm_locals)
     coset = params.saturate_coset(wlabels, mask)
-    return OrbitKey(tuple(exps), tuple(norm_locals), coset)
+    return OrbitKey(exps, tuple(norm_locals), coset)
 
 
 class AlgebraElement:
@@ -1152,15 +1159,7 @@ class GroupoidArrow:
         self.unit = params.residues.reduce(unit)
         if not params.residues.is_unit(self.unit):
             raise ValueError("unit part is not invertible at the working modulus")
-        exps = tuple(int(e) for e in exponents)
-        if len(exps) == len(params.primes) and len(params.places) > len(params.primes):
-            exps = exps + (0,) * (len(params.places) - len(params.primes))
-        if len(exps) != len(params.places):
-            raise ValueError("exponent vector length mismatch")
-        for e, place in zip(exps, params.places):
-            if e != 0 and not place.in_window:
-                raise ValueError("exponents at primes outside the window must vanish")
-        self.exponents = exps
+        self.exponents = params.place_exponents(exponents)
         self.rho = params.residues.reduce(rho)
         if w not in params.shimura.labels:
             raise ValueError("unknown ray class label %r" % (w,))
@@ -1442,14 +1441,14 @@ def partition_function(
     params: FiniteLevelParams,
     beta,
     bound: int,
-    exact_cutoff: int = 2000,
 ) -> Dict[str, object]:
     """Truncated Dedekind zeta value by direct enumeration and Euler product.
 
     Enumeration is per ideal: integers for Q, one quadrant representative
     per Gaussian ideal, and a multiplicative sieve over the prime ideal
     norms for the quartic field (there the two methods share the prime
-    list, which is recorded in the report).
+    list, which is recorded in the report).  The exact rational sum is
+    formed only for integer beta and norms up to 2000.
     """
     beta_f = Fraction(beta)
     if beta_f <= 1:
@@ -1470,7 +1469,7 @@ def partition_function(
     for n in norms:
         total += float(n) ** (-float_beta)
     exact = None
-    if bound <= exact_cutoff and beta_f.denominator == 1:
+    if bound <= 2000 and beta_f.denominator == 1:
         k = int(beta_f)
         exact = Fraction(0)
         for n in norms:

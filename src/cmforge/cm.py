@@ -192,10 +192,6 @@ class SerreGroup:
         return f"SerreGroup({self.field.name or '?'}, rank={self.rank})"
 
 
-def _cochar_translate(torus: Torus, g, vector):
-    return torus.act_cocharacter(g, vector)
-
-
 def serre_condition_violations(mu: Cocharacter):
     """Elements sigma violating (iota+1)(sigma-1)mu = 0 = (sigma-1)(iota+1)mu."""
     torus = mu.torus
@@ -204,11 +200,11 @@ def serre_condition_violations(mu: Cocharacter):
     iota = s.iota
     bad = []
     for g in s.elements:
-        gv = _cochar_translate(torus, g, v)
+        gv = torus.act_cocharacter(g, v)
         step = tuple(a - b for a, b in zip(gv, v))
-        first = tuple(a + b for a, b in zip(step, _cochar_translate(torus, iota, step)))
-        w = tuple(a + b for a, b in zip(v, _cochar_translate(torus, iota, v)))
-        second = tuple(a - b for a, b in zip(_cochar_translate(torus, g, w), w))
+        first = tuple(a + b for a, b in zip(step, torus.act_cocharacter(iota, step)))
+        w = tuple(a + b for a, b in zip(v, torus.act_cocharacter(iota, v)))
+        second = tuple(a - b for a, b in zip(torus.act_cocharacter(g, w), w))
         if any(first) or any(second):
             bad.append(g)
     return bad
@@ -380,7 +376,7 @@ def norm_res_composite(F: FieldHandle, mu: Cocharacter, name="") -> TorusMorphis
     rows = []
     for coset in F.embeddings:
         rep = min(coset, key=order)
-        rows.append(_cochar_translate(torus, rep, mu.vector))
+        rows.append(torus.act_cocharacter(rep, mu.vector))
     return TorusMorphism(tf, torus, IntMatrix(rows), name=name or "Nm∘Res")
 
 

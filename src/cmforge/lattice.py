@@ -695,9 +695,7 @@ def alternating_frobenius(M: IntMatrix):
             r[i], r[j] = r[j], r[i]
         u[i], u[j] = u[j], u[i]
 
-    invariants = []
-    b = 0
-    while b + 1 < n:
+    def pivot(b):  # smallest entry of the trailing block to (b, b+1), positive
         best = None
         for i in range(b, n):
             for j in range(b, n):
@@ -705,7 +703,7 @@ def alternating_frobenius(M: IntMatrix):
                 if x and (best is None or x < best[0]):
                     best = (x, i, j)
         if best is None:
-            break
+            return False
         _, pi, pj = best
         if pi != b:
             basis_swap(pi, b)
@@ -714,6 +712,11 @@ def alternating_frobenius(M: IntMatrix):
             basis_swap(pj, b + 1)
         if a[b][b + 1] < 0:
             basis_swap(b, b + 1)
+        return True
+
+    invariants = []
+    b = 0
+    while b + 1 < n and pivot(b):
         while True:
             d = a[b][b + 1]
             dirty = False
@@ -727,20 +730,7 @@ def alternating_frobenius(M: IntMatrix):
             if dirty:
                 # A remainder smaller than the pivot appeared; re-pivot the
                 # whole trailing block on it.
-                best = None
-                for i in range(b, n):
-                    for j in range(b, n):
-                        x = abs(a[i][j])
-                        if x and (best is None or x < best[0]):
-                            best = (x, i, j)
-                _, pi, pj = best
-                if pi != b:
-                    basis_swap(pi, b)
-                    pj = pi if pj == b else pj
-                if pj != b + 1:
-                    basis_swap(pj, b + 1)
-                if a[b][b + 1] < 0:
-                    basis_swap(b, b + 1)
+                pivot(b)
                 continue
             offender = None
             for i in range(b + 2, n):

@@ -993,7 +993,7 @@ def sample_integral_symplectic(space: SymplecticSpace, rng, steps: int = 4) -> G
     """
     denom = common_denominator(space.gram)
     n = space.dim
-    result = GSpElement.identity(space)
+    result = frac_identity(n)
     made = 0
     while made < steps:
         v = [rng.randint(-1, 1) for _ in range(n)]
@@ -1005,9 +1005,9 @@ def sample_integral_symplectic(space: SymplecticSpace, rng, steps: int = 4) -> G
             [Fraction(int(i == j)) + c * v[i] * w[j] for j in range(n)]
             for i in range(n)
         ]
-        result = result * GSpElement(space, rows)
+        result = frac_matmul(result, rows)
         made += 1
-    return result
+    return GSpElement(space, result)
 
 
 @lru_cache(maxsize=None)
@@ -1049,10 +1049,9 @@ def sample_local_similitude(
         ]
         for i in range(space.dim)
     ]
-    torus_part = GSpElement(space, conjugated)
     left = sample_integral_symplectic(space, rng, steps)
     right = sample_integral_symplectic(space, rng, steps)
-    return left * torus_part * right
+    return GSpElement(space, frac_matmul(frac_matmul(left.matrix, conjugated), right.matrix))
 
 
 def sample_adelic_gsp(

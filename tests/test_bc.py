@@ -20,6 +20,7 @@ from cmforge.bc import (
     AlgebraElement,
     Coefficient,
     GroupoidArrow,
+    ResidueRing,
     _prime_ideal_norms,
     _rational_primes,
     _splitting_data,
@@ -64,6 +65,13 @@ def params_q7():
 @pytest.fixture(scope="module")
 def params_qi7():
     return build_params("Q(i)", (7, 0), 10, cap=1)
+
+
+@pytest.fixture(scope="module")
+def params_qi6():
+    # 6 = -i (1 + i)^2 3: two places divide m, one squared and one (3)
+    # outside the window
+    return build_params("Q(i)", (6, 0), 5, cap=1)
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +261,54 @@ def test_residue_inverse_round_trip(params_qi):
         assert ring.mul(reduced, inv) == ring.one()
 
 
+def _ideal_sum_is_unit(ring_mod, coords):
+    """Reference: x is a unit when the HNF of x·O + modulus is the identity."""
+    ring = ring_mod.ring
+    rows = ring.multiplication_rows(ring.from_coords(coords))
+    h, _ = hermite_normal_form(vstack(rows, ring_mod.lattice))
+    d = ring.degree
+    return all(
+        h.entries[i][j] == (1 if i == j else 0)
+        for i in range(d) for j in range(d)
+    )
+
+
+@pytest.mark.parametrize("level, samples", [
+    (("Q", (2,), 3, 2), None),
+    (("Q(i)", (3, 0), 10, 1), None),
+    # both primes above 5 divide the modulus and lie outside the window
+    (("Q(i)", (5, 0), 3, 1), None),
+    (("Q(i)", (7, 0), 10, 1), 2000),
+    (("Q(zeta5)", (2, 0, 0, 0), 11, 1), 2000),
+], ids=["Q-2", "Qi-3", "Qi-5", "Qi-7", "Qzeta5-2"])
+def test_is_unit_matches_ideal_sum(level, samples):
+    field, modulus, bound, cap = level
+    params = build_params(field, modulus, bound, cap=cap)
+    assert params.residues.primes == tuple(q.element for q in params.places)
+    assert params.shimura.residues.primes == tuple(
+        q.element for q in params.places if q.m_valuation
+    )
+    rng = random.Random(83)
+    for ring_mod in (params.residues, params.shimura.residues):
+        if samples is None:
+            residues = ring_mod.enumerate()
+        else:
+            top = [ring_mod.lattice.entries[i][i] for i in range(ring_mod.ring.degree)]
+            residues = [ring_mod.reduce([rng.randrange(t) for t in top])
+                        for _ in range(samples)]
+        verdicts = [ring_mod.is_unit(x) for x in residues]
+        assert verdicts == [_ideal_sum_is_unit(ring_mod, x) for x in residues]
+        assert True in verdicts and False in verdicts
+
+
+def test_residue_ring_rejects_prime_off_the_modulus(params_qi):
+    ring = params_qi.shimura.residues
+    five = params_qi.primes[1].element
+    assert abs(five.norm()) == 5
+    with pytest.raises(ValueError, match="does not divide"):
+        ResidueRing(ring.ring, ring.modulus, ring.primes + (five,))
+
+
 def test_ray_class_counts(params_q, params_qi):
     assert len(params_q.shimura) == 1
     assert len(params_qi.shimura) == 2
@@ -277,6 +333,20 @@ def test_ray_class_rejects_noninvertible(params_qi):
 def test_modulus_only_place_is_flagged(params_qi_tiny):
     flags = [(q.norm, q.in_window, q.m_valuation) for q in params_qi_tiny.places]
     assert flags == [(2, True, 0), (9, False, 1)]
+
+
+def test_window_exponents_are_padded_at_modulus_only_places(params_qi_tiny):
+    params = params_qi_tiny
+    one = params.residues.one()
+    arrow = GroupoidArrow(params, one, (1,), one, "w0")
+    assert arrow.exponents == (1, 0)
+    key = make_key(params, (1,), ((TOP, 0), (TOP, 0)), ("w0",))
+    assert key.exponents == (1, 0)
+    for exponents in ((1, 1), (1, 0, 0)):
+        with pytest.raises(ValueError, match="exponent"):
+            GroupoidArrow(params, one, exponents, one, "w0")
+        with pytest.raises(ValueError, match="exponent"):
+            make_key(params, exponents, ((TOP, 0), (TOP, 0)), ("w0",))
 
 
 def test_window_prime_classes(params_qi):
@@ -493,7 +563,8 @@ def _brute_split(params, labels, mask):
     return pieces
 
 
-@pytest.mark.parametrize("level", ["params_q", "params_qi", "params_q7", "params_qi7"])
+@pytest.mark.parametrize("level", ["params_q", "params_qi", "params_q7", "params_qi7",
+                                   "params_qi6"])
 def test_coset_tables_match_brute_force(level, request):
     params = request.getfixturevalue(level)
     sh = params.shimura

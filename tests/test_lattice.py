@@ -390,7 +390,7 @@ def _valuation_lattices():
         params = build_params(ring, modulus, bound, cap=cap)
         for i in range(len(params.places)):
             for k in range(1, params.residue_cap(i) + 1):
-                out.append(params._valuation_lattice(i, k))
+                out.append(params.residues.prime_power_form(i, k))
     return out
 
 
