@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bc import FiniteLevelParams, GroupoidArrow, sample_arrow
-from .cyclotomic import CyclotomicElement, multiplication_matrix
+from .cyclotomic import CyclotomicElement
 from .galois import FieldHandle, builtin_scenario
 from .lattice import frac_inv, frac_matmul
 from .modular import (
@@ -164,20 +164,15 @@ class CMContext:
         """Multiplication matrix of the monoid lift, columns reduced mod M.
 
         The matrix acts on column vectors, so column j is the coordinate
-        image of the j-th basis element.  Changing the lift by a multiple
-        of the modulus moves every column inside the ideal lattice of the
-        working modulus, and reducing the columns gives a canonical form.
+        image of the j-th basis element: the transpose of the lift's
+        multiplication rows, as the summand basis is the ring basis.
+        Changing the lift by a multiple of the modulus moves every column
+        inside the ideal lattice of the working modulus, and reducing the
+        columns gives a canonical form.
         """
-        lift = self.lift(rho_coords)
-        mat = multiplication_matrix(lift, list(self.space.summands[0].basis))
-        d = len(mat)
-        reduced_cols = [
-            self.params.residues.reduce(tuple(mat[i][j] for i in range(d)))
-            for j in range(d)
-        ]
-        return tuple(
-            tuple(reduced_cols[j][i] for j in range(d)) for i in range(d)
-        )
+        residues = self.params.residues
+        rows = self.params.ring.coord_rows(residues.reduce(rho_coords))
+        return tuple(zip(*(residues.reduce(row) for row in rows)))
 
     def columns_congruent_at(self, m1, m2, p: int) -> bool:
         """Column lattice congruence of two matrices at one prime.
@@ -296,17 +291,8 @@ def translate_shimura(sh: ShimuraArrow, gamma1_coords, gamma2_coords) -> Shimura
     g2 = ctx.realize(ctx.lift(gamma2_coords))
     unit = g1.inverse() * sh.unit_part * g2
     rho = params.residues.mul(gamma2_coords, sh.rho)
-    left = multiplication_matrix(
-        ctx.lift(gamma2_coords), list(ctx.space.summands[0].basis)
-    )
-    d = len(left)
-    old = [[Fraction(x) for x in row] for row in sh.monoid]
-    product = frac_matmul([list(row) for row in left], old)
-    cols = [
-        params.residues.reduce(tuple(product[i][j] for i in range(d)))
-        for j in range(d)
-    ]
-    monoid = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    # g2 times the old monoid, columns reduced mod M, is the monoid of g2 rho
+    monoid = ctx.monoid_matrix(rho)
     shift = params.class_of_unit(gamma2_coords)
     level = params.shimura.mult(sh.level, params.shimura.inverse(shift))
     return ShimuraArrow(ctx, unit, sh.exponents, monoid, rho, level)
@@ -337,7 +323,10 @@ def level_unit_of(context: CMContext, label: str):
     The class representative modulo m need not stay invertible modulo
     the working modulus, so the section is chosen as the first unit in
     enumeration order whose class matches; the choice is deterministic
-    and cached on the context.
+    and cached on the context.  The enumeration runs over the residues of
+    O modulo the working modulus M and refuses, with a ValueError, when
+    O/M has more than 20,000 of them; M grows with the prime window, so
+    this bounds the windows a realization can use.
     """
     params = context.params
     section = context._section_cache

@@ -57,18 +57,8 @@ class RingData:
     def __init__(self, name, cyclo_n, unit_gen_coords, unit_orders):
         self.name = name
         self.cyclo_n = cyclo_n
-        if cyclo_n == 1:
-            degree = 1
-        else:
-            degree = len(CyclotomicElement.one(cyclo_n).coeffs)
-        self.degree = degree
-        basis = []
-        for k in range(degree):
-            if k == 0:
-                basis.append(CyclotomicElement.one(cyclo_n))
-            else:
-                basis.append(CyclotomicElement.zeta(cyclo_n, k))
-        self.basis = tuple(basis)
+        self.degree = degree = len(CyclotomicElement.one(cyclo_n).coeffs)
+        self.basis = tuple(CyclotomicElement.zeta(cyclo_n, k) for k in range(degree))
         # coordinates of zeta^k for k = 0 .. 2(d-1), the products of two basis vectors
         self._powers = tuple(
             self.coords(CyclotomicElement.zeta(cyclo_n, k)) for k in range(2 * degree - 1)
@@ -184,14 +174,15 @@ class ResidueRing:
     """The quotient O/(modulus) of a ring of integers by a principal ideal.
 
     `primes` lists a generator of every prime ideal P dividing the modulus,
-    each once.  Every divisibility question about a residue is one reduction
+    each once.  Residues are integer coordinate tuples, multiplied through
+    coord_rows.  Every divisibility question about a residue is one reduction
     against the ring's table of Hermite forms of P^k + (modulus), keyed by
     (prime index, k) and built on first use.  x is a unit exactly when no
     listed P contains it: O is Dedekind, so x·O + (modulus) = O unless a
     maximal ideal holds both, and those holding the modulus are the primes.
     """
 
-    __slots__ = ("ring", "modulus", "primes", "lattice", "size", "_prime_forms")
+    __slots__ = ("ring", "modulus", "primes", "lattice", "size", "_one", "_prime_forms")
 
     def __init__(self, ring: RingData, modulus: CyclotomicElement, primes):
         self.ring = ring
@@ -206,16 +197,17 @@ class ResidueRing:
             size *= h.entries[i][i]
         self.size = size
         self.primes = tuple(primes)
+        self._one = self.reduce((1,) + (0,) * (ring.degree - 1))
         self._prime_forms = {}
-        if any(self.in_prime_power(self.one(), i, 1) for i in range(len(self.primes))):
+        if any(self.in_prime_power(self._one, i, 1) for i in range(len(self.primes))):
             raise ValueError("a listed prime does not divide the modulus")
 
     def prime_power_form(self, index: int, k: int) -> IntMatrix:
         """Hermite form of P^k + (modulus) for P = primes[index]."""
         form = self._prime_forms.get((index, k))
         if form is None:
-            power = self.ring.multiplication_rows(self.primes[index] ** k)
-            form, _ = hermite_normal_form(vstack(power, self.lattice))
+            power = self.ring.coord_rows(self.power(self.ring.coords(self.primes[index]), k))
+            form, _ = hermite_normal_form(vstack(IntMatrix(power), self.lattice))
             self._prime_forms[(index, k)] = form
         return form
 
@@ -226,15 +218,18 @@ class ResidueRing:
     def reduce(self, coords) -> Tuple[int, ...]:
         return hnf_reduce(self.lattice, [int(c) for c in coords])[1]
 
-    def element(self, coords) -> CyclotomicElement:
-        return self.ring.from_coords(self.reduce(coords))
-
     def one(self) -> Tuple[int, ...]:
-        return self.reduce(self.ring.coords(CyclotomicElement.one(self.ring.cyclo_n)))
+        return self._one
 
     def mul(self, a, b) -> Tuple[int, ...]:
-        prod = self.ring.from_coords(a) * self.ring.from_coords(b)
-        return self.reduce(self.ring.coords(prod))
+        return self.reduce(self.ring.times_rows(a, self.ring.coord_rows(b)))
+
+    def power(self, coords, k: int) -> Tuple[int, ...]:
+        rows = self.ring.coord_rows(coords)
+        out = self._one
+        for _ in range(k):
+            out = self.reduce(self.ring.times_rows(out, rows))
+        return out
 
     def add(self, a, b) -> Tuple[int, ...]:
         return self.reduce([x + y for x, y in zip(a, b)])
@@ -243,9 +238,8 @@ class ResidueRing:
         return not any(self.in_prime_power(coords, i, 1) for i in range(len(self.primes)))
 
     def inverse(self, coords) -> Tuple[int, ...]:
-        rows = self.ring.multiplication_rows(self.ring.from_coords(coords))
-        target = self.ring.coords(CyclotomicElement.one(self.ring.cyclo_n))
-        combo = solve_int_rowspan(vstack(rows, self.lattice), target)
+        rows = IntMatrix(self.ring.coord_rows(coords))
+        combo = solve_int_rowspan(vstack(rows, self.lattice), self._one)
         if combo is None:
             raise ValueError("residue is not invertible")
         return self.reduce(combo[: self.ring.degree])
@@ -264,12 +258,14 @@ class ResidueRing:
 
 
 class PrimeData:
-    """A chosen generator of a prime ideal together with local bookkeeping."""
+    """A chosen generator of a prime ideal, with its coordinates, and local bookkeeping."""
 
-    __slots__ = ("element", "norm", "p", "degree", "m_valuation", "in_window", "class_label")
+    __slots__ = ("element", "coords", "norm", "p", "degree", "m_valuation", "in_window",
+                 "class_label")
 
     def __init__(self, element, norm, p, degree):
         self.element = element
+        self.coords = tuple(int(c) for c in element.coeffs)
         self.norm = norm
         self.p = p
         self.degree = degree
@@ -416,7 +412,7 @@ def prime_window(ring: RingData, bound: int) -> List[PrimeData]:
             continue
         for gen in _prime_generators(ring, p, f):
             out.append(PrimeData(gen, p ** f, p, f))
-    out.sort(key=lambda q: (q.norm, tuple(int(c) for c in q.element.coeffs)))
+    out.sort(key=lambda q: (q.norm, q.coords))
     return out
 
 
@@ -474,16 +470,13 @@ class ShimuraSet:
         self._class_of = lookup
         reps = {label: orbit[0] for label, orbit in zip(self.labels, classes)}
         self.representatives = reps
-        mult = {}
-        inverse = {}
-        for la, ra in reps.items():
-            for lb, rb in reps.items():
-                mult[(la, lb)] = lookup[ring_mod.mul(ra, rb)]
-            inv = ring_mod.inverse(ra)
-            inverse[la] = lookup[ring_mod.reduce(inv)]
-        self._mult = mult
-        self._inverse = inverse
         self.identity = lookup[ring_mod.one()]
+        self._mult = {
+            (la, lb): lookup[ring_mod.mul(ra, rb)]
+            for la, ra in reps.items() for lb, rb in reps.items()
+        }
+        # each row of the group table holds the identity exactly once
+        self._inverse = {a: b for (a, b), c in self._mult.items() if c == self.identity}
 
     def __len__(self):
         return len(self.labels)
@@ -521,78 +514,84 @@ class FiniteLevelParams:
     only controls the working residue ring and the samplers, and arrows
     whose divisibility bookkeeping would need more precision than a key
     provides are simply not representable at that key's resolution.
+
+    So an arrow is rejected when, at a place P | m with residue cap c, its
+    source residue has exact valuation v with v + v_P(m) > c: divided by
+    pi^v it is known only modulo P^(c - v), while its ray class needs it
+    modulo P^(v_P(m)).  As c is v_P(m) plus the cap at window primes and
+    v_P(m) elsewhere, that takes v_P(m) >= 2 and v above the cap, or v >= 1
+    at a place outside the window.
     """
 
     __slots__ = ("ring", "modulus", "bound", "cap", "primes", "places",
                  "shimura", "working_modulus", "residues", "_stab_cache")
 
     def __init__(self, field: str, modulus_coords, bound: int, cap: int):
-        self.ring = builtin_ring(field)
-        self.modulus = self.ring.from_coords(modulus_coords)
+        self.ring = ring = builtin_ring(field)
+        self.modulus = ring.from_coords(modulus_coords)
         if self.modulus.is_zero():
             raise ValueError("modulus must be nonzero")
-        if abs(self.modulus.norm()) == 1:
-            raise ValueError("modulus must not be a unit")
         if not self.modulus.is_integral():
             raise ValueError("modulus must be integral")
+        m = ring.coords(self.modulus)
+        norm = abs(IntMatrix(ring.coord_rows(m)).determinant())
+        if norm == 1:
+            raise ValueError("modulus must not be a unit")
         if bound < 2:
             raise ValueError("prime bound must be at least 2")
         if cap < 1:
             raise ValueError("valuation cap must be at least 1")
         self.bound = bound
         self.cap = cap
-        window = prime_window(self.ring, bound)
-        extra = self._modulus_only_primes(window)
+        window = prime_window(ring, bound)
+        extra = self._modulus_only_primes(window, m, norm)
         for q in extra:
             q.in_window = False
         self.primes = tuple(window)
         self.places = tuple(window + extra)
-        working = self.modulus
+        working = m
         for q in window:
-            working = working * (q.element ** cap)
-        self.working_modulus = working
+            rows = ring.coord_rows(q.coords)
+            for _ in range(cap):
+                working = ring.times_rows(working, rows)
+        self.working_modulus = ring.from_coords(working)
         for place in self.places:
-            place.m_valuation = self._valuation_of(self.modulus, place.element)
-        self.residues = ResidueRing(self.ring, working, [q.element for q in self.places])
+            # P divides m only if its rational prime divides N(m)
+            place.m_valuation = self._valuation_of(m, place.coords) if norm % place.p == 0 else 0
+        self.residues = ResidueRing(ring, self.working_modulus, [q.element for q in self.places])
         self.shimura = ShimuraSet(
             self.ring, self.modulus, [q.element for q in self.places if q.m_valuation]
         )
         for place in self.places:
             if place.m_valuation == 0:
-                place.class_label = self.shimura.class_of(self.ring.coords(place.element))
+                place.class_label = self.shimura.class_of(place.coords)
         self._stab_cache = {}
 
-    def _modulus_only_primes(self, window: Sequence[PrimeData]) -> List[PrimeData]:
-        norm = abs(self.modulus.norm())
+    def _modulus_only_primes(self, window: Sequence[PrimeData], m, norm: int) -> List[PrimeData]:
+        """The primes dividing m (coordinates m, norm N(m)) outside the window."""
         if norm > 10 ** 6:
             raise ValueError("modulus norm is too large for prime factorization")
         out = []
-        for p in prime_factors(int(norm)):
-            out.extend(self._primes_above_if_new(p, window))
+        for p in prime_factors(norm):
+            f, _ = _splitting_data(self.ring, p)
+            for gen in _prime_generators(self.ring, p, f):
+                if any(gen == q.element for q in window):
+                    continue
+                place = PrimeData(gen, p ** f, p, f)
+                if self._valuation_of(m, place.coords):
+                    out.append(place)
         return out
 
-    def _primes_above_if_new(self, p: int, window) -> List[PrimeData]:
-        f, _ = _splitting_data(self.ring, p)
-        fresh = []
-        for gen in _prime_generators(self.ring, p, f):
-            if any(gen == q.element for q in window):
-                continue
-            if self._valuation_of(self.modulus, gen) == 0:
-                continue
-            fresh.append(PrimeData(gen, p ** f, p, f))
-        return fresh
-
-    def _valuation_of(self, element: CyclotomicElement, prime: CyclotomicElement) -> int:
-        value = element
+    def _valuation_of(self, coords, prime) -> int:
+        """Exponent of the prime element in the nonzero x, both as coordinates:
+        x / pi = q·U when x = q·H against the form U·rows(pi) = H."""
+        h, u = hermite_normal_form(IntMatrix(self.ring.coord_rows(prime)))
         v = 0
         while True:
-            quotient = value / prime
-            if not quotient.is_integral():
+            q, r = hnf_reduce(h, coords)
+            if any(r):
                 return v
-            value = quotient
-            v += 1
-            if v > 64:
-                raise RuntimeError("runaway valuation")
+            coords, v = u.act_on_row(q), v + 1
 
     # -- local valuations of working residues -------------------------------
 
@@ -1166,6 +1165,12 @@ class GroupoidArrow:
         self.w = w
         if not self.is_valid():
             raise ValueError("arrow divisibility fails at a negative exponent")
+        for i, place in enumerate(params.places):
+            kind, v = params.residue_valuation(self.rho, i) if place.m_valuation > 1 else (TOP, 0)
+            known = params.residue_cap(i) - v
+            if kind == EXACT and known < place.m_valuation:
+                raise ValueError("rho / pi^%d at the place %r is known only modulo P^%d, coarser "
+                                 "than the P^%d in m" % (v, place.coords, known, place.m_valuation))
 
     def is_valid(self) -> bool:
         for i, e in enumerate(self.exponents):
@@ -1192,53 +1197,48 @@ class GroupoidArrow:
         """Canonical orbit class: transport rho to the anchored residue.
 
         The anchor is the product of place powers matching the valuation
-        pattern, so rho = gamma * anchor for a unit gamma.  The particular
-        solution of that congruence is a unit at every exact place; at TOP
-        places the anchor component vanishes and the solution is patched
-        to 1 there through a Bezout idempotent.
+        pattern, and one solve mod M gives rho = gamma0 * anchor, with gamma0
+        a unit at every exact place.  The class reads the transporter only
+        mod m, so it is patched to 1 at the TOP places in O/m: with E and T
+        the products of P^(v_P(m)) over the exact and the TOP places P | m,
+        x E + y T = 1 mod m gives the idempotent e = x E (0 mod E, 1 mod T)
+        and gamma = gamma0 + e (1 - gamma0).  As m = E T up to a unit, e is
+        unique mod m (CRT), so the key does not depend on the solutions
+        picked.
         """
         params = self.params
         ring = params.ring
-        one = CyclotomicElement.one(ring.cyclo_n)
+        residues = params.residues
+        ring_mod = params.shimura.residues
         pattern = self.valuation_pattern()
-        anchor = one
-        exact_part = one
-        top_part = one
-        for i, ((kind, v), place) in enumerate(zip(pattern, params.places)):
-            anchor = anchor * place.element ** v
-            cap = params.residue_cap(i)
-            if kind == EXACT:
-                exact_part = exact_part * place.element ** cap
-            else:
-                top_part = top_part * place.element ** cap
-        anchor_coords = params.residues.reduce(ring.coords(anchor))
-        rows = vstack(
-            ring.multiplication_rows(params.residues.element(anchor_coords)),
-            params.residues.lattice,
+        anchor = residues.one()
+        exact_part = top_part = ring_mod.one()
+        for (kind, v), place in zip(pattern, params.places):
+            if v:
+                anchor = residues.mul(anchor, residues.power(place.coords, v))
+            if place.m_valuation:
+                local = ring_mod.power(place.coords, place.m_valuation)
+                if kind == EXACT:
+                    exact_part = ring_mod.mul(exact_part, local)
+                else:
+                    top_part = ring_mod.mul(top_part, local)
+        combo = solve_int_rowspan(
+            vstack(IntMatrix(ring.coord_rows(anchor)), residues.lattice), self.rho
         )
-        combo = solve_int_rowspan(rows, list(self.rho))
         if combo is None:
             raise AssertionError("anchored residue solve failed")
-        gamma0 = params.residues.reduce(combo[: ring.degree])
-        if top_part == one:
-            gamma = gamma0
-        elif exact_part == one:
-            gamma = params.residues.one()
-        else:
-            bez_rows = vstack(
-                ring.multiplication_rows(exact_part),
-                ring.multiplication_rows(top_part),
-            )
-            bez = solve_int_rowspan(bez_rows, ring.coords(one))
+        gamma = ring_mod.reduce(combo[: ring.degree])
+        if exact_part == ring_mod.one():
+            gamma = ring_mod.one()
+        elif top_part != ring_mod.one():
+            rows = [IntMatrix(ring.coord_rows(x)) for x in (exact_part, top_part)]
+            bez = solve_int_rowspan(vstack(*rows, ring_mod.lattice), ring_mod.one())
             if bez is None:
                 raise AssertionError("exact and TOP parts are not coprime")
-            x = ring.from_coords(bez[: ring.degree])
-            y = ring.from_coords(bez[ring.degree:])
-            e_top = x * exact_part
-            e_exact = y * top_part
-            patched = params.residues.element(gamma0) * e_exact + e_top
-            gamma = params.residues.reduce(ring.coords(patched))
-        if not params.residues.is_unit(gamma):
+            e = ring_mod.mul(bez[: ring.degree], exact_part)
+            one_minus_gamma = [a - b for a, b in zip(ring_mod.one(), gamma)]
+            gamma = ring_mod.add(gamma, ring_mod.mul(e, one_minus_gamma))
+        if not ring_mod.is_unit(gamma):
             raise AssertionError("anchor transporter is not a unit")
         gamma_cls = params.shimura.class_of(gamma)
         anchored_w = params.shimura.mult(self.w, gamma_cls)
@@ -1316,19 +1316,14 @@ def sample_arrow(params: FiniteLevelParams, rng, exponent_cap: Optional[int] = N
                 exponents.append(0)
             else:
                 exponents.append(rng.randint(-cap, cap))
-        rho_scale = CyclotomicElement.one(params.ring.cyclo_n)
+        rho_scale = params.residues.one()
         for i, place in enumerate(params.places):
             upper = params.residue_cap(i)
             v = min(rng.choice((0, 0, 1, upper)), upper)
             if v:
-                rho_scale = rho_scale * place.element ** v
+                rho_scale = params.residues.mul(rho_scale, params.residues.power(place.coords, v))
         unit = sample_unit_residue(params, rng)
-        rho_unit = sample_unit_residue(params, rng)
-        rho = params.residues.reduce(
-            params.ring.coords(
-                params.residues.element(rho_unit) * rho_scale
-            )
-        )
+        rho = params.residues.mul(sample_unit_residue(params, rng), rho_scale)
         w = rng.choice(params.shimura.labels)
         try:
             return GroupoidArrow(params, unit, exponents, rho, w)

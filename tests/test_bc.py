@@ -646,7 +646,7 @@ def _coset_matches(params, key, rho_elem, w):
     lattice_rows = ring.multiplication_rows(exact_m)
     h, _ = hermite_normal_form(vstack(lattice_rows, sh.residues.lattice))
     for u in sh._class_of:
-        diff = [a - b for a, b in zip(ring.coords(sh.residues.element(u) - gamma), [0] * ring.degree)]
+        diff = [a - b for a, b in zip(ring.coords(ring.from_coords(u) - gamma), [0] * ring.degree)]
         if lattice_contains(h, diff):
             return sh.mult(w, sh._class_of[u]) in key.wcoset
     raise AssertionError("no unit matches the transporter at the exact part")
@@ -919,7 +919,10 @@ def test_orbit_key_invariant_under_unit_translation(params_q, params_qi):
     rng = random.Random(59)
     from cmforge.bc import sample_unit_residue
 
-    for params in (params_q, params_qi):
+    # 9 = 3^2 with (3) inert: its place has norm 9, outside the bound-5
+    # window, so its residue cap is only v_3(9) = 2
+    params_qi9 = build_params("Q(i)", (9, 0), 5)
+    for params in (params_q, params_qi, params_qi9):
         for _ in range(25):
             arrow = sample_arrow(params, rng)
             key = arrow.orbit_key()
@@ -927,6 +930,65 @@ def test_orbit_key_invariant_under_unit_translation(params_q, params_qi):
             g2 = sample_unit_residue(params, rng)
             moved = arrow.translated(g1, g2)
             assert moved.orbit_key() == key
+    # rho = 3 has exact valuation 1 there: rho / 3 is known only mod 3, not
+    # mod the 9 the ray class needs, so its key would depend on the lift
+    n = len(params_qi9.places)
+    with pytest.raises(ValueError, match="coarser than"):
+        GroupoidArrow(params_qi9, (1, 0), (0,) * n, (3, 0), "w0")
+
+
+# SHA-256 of repr([(arrow, arrow.orbit_key()), ...]) over 40 sample_arrow
+# draws from random.Random(71) per exponent cap, at default valuation cap 1,
+# recorded before the transporter was patched modulo m.  Cap 1 is drawn only
+# at the small windows, where the sampler cannot run out of valid arrows.
+ORBIT_KEY_GOLDENS = {
+    ("Q", (2,), 200, (0,)):
+        "22eb5de1704982be46a6203061ac67fdd61739dc31d3e1bc90177e927f8977b3",
+    ("Q(i)", (3, 0), 89, (0,)):
+        "cd1cdea86a7d28126e41eb474e4e2cbff9f64b9004bbcbfbd1e49a78580fc13e",
+    ("Q(zeta5)", (2, 0, 0, 0), 50, (0,)):
+        "42236456ef6fc3dab49b9766c1141625b3f03ea538f459b1a726390ef8101da9",
+    ("Q(i)", (7, 0), 10, (0, 1)):
+        "971bc62208f269c2caf3a6f6d48c4c5b84b79455afcff02c4f6796d4e5ae622c",
+    ("Q(i)", (6, 0), 5, (0, 1)):
+        "ee6db276e8b848f36ac4acbed5db0c6540c9e7bb48ddf4385189d6b12ca7ad6a",
+}
+
+
+@pytest.fixture(scope="module")
+def orbit_key_levels():
+    return {level: build_params(*level[:3]) for level in ORBIT_KEY_GOLDENS}
+
+
+@pytest.mark.parametrize("level", sorted(ORBIT_KEY_GOLDENS))
+def test_orbit_keys_are_unchanged(level, orbit_key_levels):
+    params = orbit_key_levels[level]
+    rng = random.Random(71)
+    pairs = []
+    for cap in level[3]:
+        for _ in range(40):
+            arrow = sample_arrow(params, rng, exponent_cap=cap)
+            pairs.append((arrow, arrow.orbit_key()))
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == ORBIT_KEY_GOLDENS[level]
+
+
+@pytest.mark.parametrize("level", sorted(ORBIT_KEY_GOLDENS))
+def test_residue_arithmetic_matches_field_arithmetic(level, orbit_key_levels):
+    params = orbit_key_levels[level]
+    ring = params.ring
+    rng = random.Random(73)
+    for ring_mod in (params.residues, params.shimura.residues):
+        def reference(x):
+            return ring_mod.reduce(ring.coords(x))
+
+        top = [ring_mod.lattice.entries[i][i] for i in range(ring.degree)]
+        assert ring_mod.one() == reference(CyclotomicElement.one(ring.cyclo_n))
+        for _ in range(30):
+            a, b = (ring_mod.reduce([rng.randrange(t) for t in top]) for _ in range(2))
+            assert ring_mod.mul(a, b) == reference(ring.from_coords(a) * ring.from_coords(b))
+            if ring_mod.is_unit(a):
+                inv = ring_mod.inverse(a)
+                assert reference(ring.from_coords(a) * ring.from_coords(inv)) == ring_mod.one()
 
 
 def test_arrow_idele_norm(params_qi):
