@@ -373,7 +373,7 @@ def shimura_base_point(context: CMContext, idele: AdelicGSp):
     the inverse of alpha.
     """
     alpha, beta = decompose_gsp(idele)
-    z = mobius_transform(frac_inv([list(r) for r in alpha.matrix]), context.x_cm)
+    z = mobius_transform(alpha.inverse().matrix, context.x_cm)
     return alpha, beta, z
 
 
@@ -444,7 +444,7 @@ def theta_map(
         p: group.local_at(p) * beta.local_at(p).inverse() for p in support
     }
     moved = AdelicGSp(context.space, local, tail=group.tail * beta_inv_tail)
-    z = mobius_transform(frac_inv([list(r) for r in alpha.matrix]), context.x_cm)
+    z = mobius_transform(alpha.inverse().matrix, context.x_cm)
     return ThetaData(context, moved, alpha, beta, sh.monoid, sh.rho, z, arrow.w)
 
 
@@ -752,9 +752,7 @@ def criterion_check(
             condition_one = {
                 "holds": True,
                 "witness_multiplier": str(witness.similitude),
-                "witness_integral": all(
-                    x.denominator == 1 for row in witness.matrix for x in row
-                ),
+                "witness_integral": witness.den == 1,
             }
         except (ValueError, AssertionError) as exc:
             condition_one = {"holds": False, "reason": str(exc)}

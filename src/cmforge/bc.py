@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CyclotomicElement, _poly_divmod, cyclotomic_polynomial
@@ -50,24 +51,33 @@ EXACT = "exact"
 
 
 class RingData:
-    """Ring of integers of a builtin field in its power basis."""
+    """Ring of integers of a builtin field in its power basis.
+
+    Immutable: `builtin_ring` hands one instance per field to every caller.
+    """
 
     __slots__ = ("name", "cyclo_n", "degree", "basis", "unit_generators", "_powers")
 
     def __init__(self, name, cyclo_n, unit_gen_coords, unit_orders):
-        self.name = name
-        self.cyclo_n = cyclo_n
-        self.degree = degree = len(CyclotomicElement.one(cyclo_n).coeffs)
-        self.basis = tuple(CyclotomicElement.zeta(cyclo_n, k) for k in range(degree))
-        # coordinates of zeta^k for k = 0 .. 2(d-1), the products of two basis vectors
-        self._powers = tuple(
-            self.coords(CyclotomicElement.zeta(cyclo_n, k)) for k in range(2 * degree - 1)
+        degree = len(CyclotomicElement.one(cyclo_n).coeffs)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cyclo_n", cyclo_n)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(
+            self, "basis", tuple(CyclotomicElement.zeta(cyclo_n, k) for k in range(degree))
         )
+        # coordinates of zeta^k for k = 0 .. 2(d-1), the products of two basis vectors
+        object.__setattr__(self, "_powers", tuple(
+            self.coords(CyclotomicElement.zeta(cyclo_n, k)) for k in range(2 * degree - 1)
+        ))
         gens = tuple(self.from_coords(c) for c in unit_gen_coords)
         for gen, order in zip(gens, unit_orders):
             self._verify_unit(gen, order)
         minus_one = -CyclotomicElement.one(cyclo_n)
-        self.unit_generators = gens + (minus_one,)
+        object.__setattr__(self, "unit_generators", gens + (minus_one,))
+
+    def __setattr__(self, *a):  # pragma: no cover - guard
+        raise AttributeError("RingData is immutable")
 
     def _verify_unit(self, gen, order):
         if abs(gen.norm()) != 1:
@@ -158,13 +168,18 @@ _RING_ALIASES = {
 
 
 def builtin_ring(name: str) -> RingData:
+    """The one RingData of a builtin field, built and verified on first use."""
     key = _RING_ALIASES.get(name.lower(), name)
     if key not in _BUILTIN_RINGS:
         raise ValueError(
             "unknown field %r, builtins are %s" % (name, sorted(_BUILTIN_RINGS))
         )
-    spec = _BUILTIN_RINGS[key]
-    return RingData(key, spec["cyclo_n"], spec["unit_gen_coords"], spec["unit_orders"])
+    return _builtin_ring(key)
+
+
+@lru_cache(maxsize=None)
+def _builtin_ring(key: str) -> RingData:
+    return RingData(key, **_BUILTIN_RINGS[key])
 
 
 # -- Residue rings ----------------------------------------------------------------

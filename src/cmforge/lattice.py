@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class IntMatrix:
@@ -80,12 +81,9 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-            if not self.rows:
-                return IntMatrix.zero(0, other.cols)
-            bt = other.transpose().entries
-            return IntMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-            )
+            if not (self.rows and other.rows):
+                return IntMatrix.zero(self.rows, other.cols)
+            return IntMatrix(int_matmul(self.entries, other.entries))
         if isinstance(other, int):
             return IntMatrix([[x * other for x in row] for row in self.entries])
         return NotImplemented
@@ -160,6 +158,12 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
+
+
+def int_matmul(A, B):
+    """Product of two integer matrices given as tuples of rows."""
+    bt = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in A)
 
 
 def vstack(*matrices: IntMatrix) -> IntMatrix:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .cm import (
     cyclotomic_level,
@@ -37,11 +37,10 @@ from .lattice import (
     IntMatrix,
     alternating_frobenius,
     common_denominator,
-    frac_identity,
     frac_inv,
-    frac_matmul,
     frac_solve,
     hermite_normal_form,
+    int_matmul,
     int_matrix_inverse,
     lattice_intersection,
     prime_factors,
@@ -189,10 +188,14 @@ class SymplecticSpace:
 
     Vectors are rational coordinate tuples over the concatenated integral
     bases of the summands; the distinguished lattice is exactly the integer
-    coordinate vectors.
+    coordinate vectors.  The gram matrix G and its inverse are also kept as
+    integer matrices over one denominator each, G = gram_num/gram_den and
+    G⁻¹ = gram_inv_num/gram_inv_den, for the similitude arithmetic of
+    :class:`GSpElement`; a degenerate gram matrix is rejected.
     """
 
-    __slots__ = ("summands", "gram", "dim")
+    __slots__ = ("summands", "gram", "dim", "gram_num", "gram_den", "gram_inv_num",
+                 "gram_inv_den")
 
     def __init__(self, summands, gram):
         object.__setattr__(self, "summands", tuple(summands))
@@ -200,6 +203,11 @@ class SymplecticSpace:
         object.__setattr__(self, "dim", sum(s.degree for s in self.summands))
         if len(self.gram) != self.dim:
             raise ValueError("gram matrix size does not match the total degree")
+        for name, rows in (("gram", self.gram), ("gram_inv", frac_inv(self.gram))):
+            den = common_denominator(rows)
+            num = tuple(tuple(int(x * den) for x in row) for row in rows)
+            object.__setattr__(self, name + "_num", num)
+            object.__setattr__(self, name + "_den", den)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("SymplecticSpace is immutable")
@@ -328,64 +336,101 @@ def _validate_imaginary_generator(field, xi):
 
 
 def _transpose(rows):
-    return tuple(tuple(r[i] for r in rows) for i in range(len(rows[0])))
+    return tuple(zip(*rows))
 
 
 class GSpElement:
     """Rational symplectic similitude of a fixed space.
 
-    Construction computes the multiplier from Mᵀ·G·M = nu·G and rejects
-    matrices that do not satisfy it exactly.
+    The matrix M is stored as an integer matrix ``num`` over one positive
+    integer ``den``, M = num/den, reduced so that den and the entries of
+    num have no common factor; equal matrices therefore have equal
+    (num, den), and ``den`` is the least common denominator of the
+    entries.  ``rows`` may hold any rationals and the optional ``den``
+    divides them all.  Construction computes the multiplier from
+    Mᵀ·G·M = nu·G in integers and rejects matrices that do not satisfy it
+    exactly; products and inverses are built through the same check.
+    ``matrix`` is the tuple of Fraction rows, made on first use.
     """
 
-    __slots__ = ("space", "matrix", "similitude")
+    __slots__ = ("space", "num", "den", "similitude", "_matrix")
 
-    def __init__(self, space: SymplecticSpace, rows):
-        matrix = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if len(matrix) != space.dim or any(len(r) != space.dim for r in matrix):
+    def __init__(self, space: SymplecticSpace, rows, den: int = 1):
+        num = tuple(tuple(row) for row in rows)
+        if len(num) != space.dim or any(len(r) != space.dim for r in num):
             raise ValueError("matrix size does not match the space")
-        product = frac_matmul(frac_matmul(_transpose(matrix), space.gram), matrix)
-        nu = None
-        for i in range(space.dim):
-            for j in range(space.dim):
-                if space.gram[i][j]:
-                    nu = product[i][j] / space.gram[i][j]
-                    break
-            if nu is not None:
-                break
-        if nu is None or nu == 0:
+        if not all(type(x) is int for row in num for x in row):
+            scale = common_denominator(num)
+            num = tuple(tuple(int(Fraction(x) * scale) for x in row) for row in num)
+            den *= scale
+        if den == 0:
+            raise ValueError("denominator must be nonzero")
+        if den < 0:
+            num, den = tuple(tuple(-x for x in row) for row in num), -den
+        common = gcd(den, *(x for row in num for x in row))
+        if common > 1:
+            num = tuple(tuple(x // common for x in row) for row in num)
+            den //= common
+        # (num/den)ᵀ·G·(num/den) = nu·G with G = gram_num/gram_den reads
+        # numᵀ·gram_num·num = nu·den²·gram_num
+        gram = space.gram_num
+        product = int_matmul(int_matmul(_transpose(num), gram), num)
+        i, j = next((i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x)
+        pivot, ref = product[i][j], gram[i][j]
+        if pivot == 0:
             raise ValueError("matrix is singular on the symplectic form")
-        for i in range(space.dim):
-            for j in range(space.dim):
-                if product[i][j] != nu * space.gram[i][j]:
+        for prow, grow in zip(product, gram):
+            for x, y in zip(prow, grow):
+                if x * ref != pivot * y:
                     raise ValueError("matrix does not scale the symplectic form")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "similitude", nu)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "similitude", Fraction(pivot, ref * den * den))
+        object.__setattr__(self, "_matrix", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("GSpElement is immutable")
 
+    @property
+    def matrix(self):
+        """The matrix as a tuple of Fraction rows, num/den."""
+        if self._matrix is None:
+            den = self.den
+            rows = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+            object.__setattr__(self, "_matrix", rows)
+        return self._matrix
+
     @classmethod
     def identity(cls, space) -> "GSpElement":
-        return cls(space, frac_identity(space.dim))
+        n = space.dim
+        return cls(space, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def __mul__(self, other):
         if not isinstance(other, GSpElement):
             return NotImplemented
-        return GSpElement(self.space, frac_matmul(self.matrix, other.matrix))
+        return GSpElement(self.space, int_matmul(self.num, other.num), self.den * other.den)
 
     def inverse(self) -> "GSpElement":
-        return GSpElement(self.space, frac_inv(self.matrix))
+        """M⁻¹ = nu⁻¹·G⁻¹·Mᵀ·G, the symplectic adjoint over the multiplier."""
+        space, nu = self.space, self.similitude
+        adjoint = int_matmul(
+            int_matmul(space.gram_inv_num, _transpose(self.num)), space.gram_num
+        )
+        scale = nu.denominator
+        return GSpElement(
+            space,
+            [[scale * x for x in row] for row in adjoint],
+            nu.numerator * space.gram_inv_den * self.den * space.gram_den,
+        )
 
     def apply(self, coords):
         return tuple(
-            sum(self.matrix[i][j] * Fraction(coords[j]) for j in range(self.space.dim))
-            for i in range(self.space.dim)
+            sum(x * Fraction(c) for x, c in zip(row, coords)) / self.den for row in self.num
         )
 
     def is_integral_at(self, p: int) -> bool:
-        return all(_valuation(x, p) >= 0 for row in self.matrix for x in row if x)
+        return self.den % p != 0
 
     def has_unit_similitude_at(self, p: int) -> bool:
         return _valuation(self.similitude, p) == 0
@@ -393,10 +438,12 @@ class GSpElement:
     def __eq__(self, other):
         if not isinstance(other, GSpElement):
             return NotImplemented
-        return self.space == other.space and self.matrix == other.matrix
+        return (
+            self.space == other.space and self.den == other.den and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"GSpElement(dim={self.space.dim}, nu={self.similitude})"
@@ -843,10 +890,7 @@ class AdelicGSp:
         )
 
     def _tail_denominator_primes(self):
-        primes = set()
-        for row in self.tail.matrix:
-            for x in row:
-                primes.update(prime_factors(Fraction(x).denominator))
+        primes = set(prime_factors(self.tail.den))
         nu = self.tail.similitude
         primes.update(prime_factors(nu.numerator))
         primes.update(prime_factors(nu.denominator))
@@ -884,27 +928,29 @@ def decompose_gsp(f: AdelicGSp):
     pairing is matched against the reference pairing through the
     alternating Frobenius form, and the resulting basis is the rational
     part.  Both factors are exact; the product returns f on the nose.
+    Bases are integer rows over one denominator throughout.
     """
     space = f.space
-    n = space.dim
     tail = f.tail
     nu = abs(tail.similitude)
     for p, g in f.local.items():
         nu *= Fraction(p) ** (_valuation(g.similitude, p) - _valuation(tail.similitude, p))
-    basis = [list(row) for row in _transpose(tail.matrix)]
+    tail_inv = tail.inverse()
+    basis, den = _transpose(tail.num), tail.den
     for p, g in f.local.items():
-        basis = _replace_at_prime(basis, list(_transpose(g.matrix)), p)
-    gram_m = [
-        [space.psi(basis[i], basis[j]) for j in range(n)] for i in range(n)
-    ]
-    w_m, inv_m = _scaled_frobenius(gram_m)
+        # Before p is glued the basis spans the tail's column lattice at p,
+        # and p^k carries it and g's into each other there.
+        k = max(0, -_entry_valuation(tail_inv * g, p), -_entry_valuation(g.inverse() * tail, p))
+        basis, den = _replace_at_prime((basis, den), (_transpose(g.num), g.den), p, k)
+    gram_m = int_matmul(int_matmul(basis, space.gram_num), _transpose(basis))
+    w_m, inv_m = _scaled_frobenius(gram_m, den * den * space.gram_den)
     _, w_g_inv, inv_g = _frobenius_frame(space)
     if len(inv_m) != len(inv_g) or any(
         a != nu * b for a, b in zip(inv_m, inv_g)
     ):
         raise AssertionError("the moved lattice does not scale the pairing by nu")
-    adapted = frac_matmul(frac_matmul(w_g_inv.entries, w_m.entries), basis)
-    q = GSpElement(space, _transpose(adapted))
+    adapted = int_matmul((w_g_inv * w_m).entries, basis)
+    q = GSpElement(space, _transpose(adapted), den)
     if q.similitude != nu:
         raise AssertionError("rational part has the wrong multiplier")
     gamma = f.scale_left(q.inverse())
@@ -916,45 +962,47 @@ def decompose_gsp(f: AdelicGSp):
     return q, gamma
 
 
+def _entry_valuation(g: GSpElement, p: int) -> int:
+    """Least p-adic valuation of the entries of a similitude's matrix."""
+    if g.den % p == 0:
+        return -_valuation(g.den, p)
+    return _valuation(gcd(*(x for row in g.num for x in row)), p)
+
+
 def _lattice_sum(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     h, _ = hermite_normal_form(vstack(A, B))
     return IntMatrix([row for row in h.entries if any(row)])
 
 
-def _replace_at_prime(current, candidate, p: int):
+def _replace_at_prime(current, candidate, p: int, k: int):
     """Lattice equal to ``candidate`` at p and to ``current`` at other primes.
 
-    Both arguments are full-rank rational row bases.  With k big enough
-    that p^k carries each lattice into the other p-locally, the glue is
-    (candidate ∩ p^{-k}·current) + p^k·current; localizing at p collapses
-    the formula to candidate, and anywhere else to current.
+    Both arguments are full-rank rational row bases, each given as integer
+    rows over one denominator, and p^k carries each lattice into the
+    other p-locally.  The glue is (candidate ∩ p^{-k}·current) +
+    p^k·current; localizing at p collapses the formula to candidate, and
+    anywhere else to current.  Returns its Hermite form over one
+    denominator.
     """
-    rel = frac_matmul(candidate, frac_inv(current))
-    k = 0
-    for rows in (rel, frac_inv(rel)):
-        for row in rows:
-            for x in row:
-                if x:
-                    k = max(k, -_valuation(x, p))
-    widened = [[x * Fraction(p) ** (-k) for x in row] for row in current]
-    denom = common_denominator(candidate + widened)
-    a_int = IntMatrix([[int(x * denom) for x in row] for row in candidate])
-    b_int = IntMatrix([[int(x * denom) for x in row] for row in widened])
+    (c_rows, c_den), (a_rows, a_den) = current, candidate
+    widened_den = c_den * p**k
+    denom = lcm(a_den, widened_den)
+    a_int = IntMatrix(a_rows) * (denom // a_den)
+    b_int = IntMatrix(c_rows) * (denom // widened_den)
     meet = lattice_intersection(a_int, b_int)
-    glued = _lattice_sum(meet, b_int * (p ** (2 * k)))
-    return [[Fraction(x, denom) for x in row] for row in glued.entries]
+    return _lattice_sum(meet, b_int * (p ** (2 * k))).entries, denom
 
 
-def _scaled_frobenius(gram):
-    """Frobenius data of a rational alternating matrix.
+def _scaled_frobenius(num, den: int):
+    """Frobenius data of the rational alternating matrix num/den.
 
     Returns (U, invariants) with U integral unimodular and the invariants
-    rational, matching U·gram·Uᵀ in adjacent-pair block form.
+    rational, matching U·(num/den)·Uᵀ in adjacent-pair block form.
     """
-    denom = common_denominator(gram)
-    integral = IntMatrix([[int(Fraction(x) * denom) for x in row] for row in gram])
+    common = gcd(den, *(x for row in num for x in row))
+    integral = IntMatrix([[x // common for x in row] for row in num])
     u, invariants = alternating_frobenius(integral)
-    return u, tuple(Fraction(d, denom) for d in invariants)
+    return u, tuple(Fraction(d, den // common) for d in invariants)
 
 
 def adjoint_project(element):
@@ -964,9 +1012,11 @@ def adjoint_project(element):
     normalizes the sign of the first nonzero entry, so two matrices agree
     up to Q^× exactly when their images coincide.
     """
-    rows = element.matrix if isinstance(element, GSpElement) else element
-    denom = common_denominator(rows)
-    ints = [[int(Fraction(x) * denom) for x in row] for row in rows]
+    if isinstance(element, GSpElement):
+        ints = element.num
+    else:
+        denom = common_denominator(element)
+        ints = [[int(Fraction(x) * denom) for x in row] for row in element]
     content = 0
     for row in ints:
         for x in row:
@@ -991,21 +1041,20 @@ def sample_integral_symplectic(space: SymplecticSpace, rng, steps: int = 4) -> G
     multiplicative across the factors, and the decomposition pipeline does
     exact arithmetic on whatever this returns.
     """
-    denom = common_denominator(space.gram)
+    gram = space.gram_num
     n = space.dim
-    result = frac_identity(n)
+    result = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     made = 0
     while made < steps:
         v = [rng.randint(-1, 1) for _ in range(n)]
         if not any(v):
             continue
-        c = rng.choice([-1, 1]) * denom
-        w = [sum(space.gram[j][i] * v[j] for j in range(n)) for i in range(n)]
-        rows = [
-            [Fraction(int(i == j)) + c * v[i] * w[j] for j in range(n)]
-            for i in range(n)
-        ]
-        result = frac_matmul(result, rows)
+        # x -> x + c·psi(v, x)·v with c = ±(common denominator of G), so
+        # c·G = ±gram_num and every entry is an integer
+        c = rng.choice([-1, 1])
+        w = [c * sum(gram[j][i] * v[j] for j in range(n)) for i in range(n)]
+        rows = [[int(i == j) + v[i] * w[j] for j in range(n)] for i in range(n)]
+        result = int_matmul(result, rows)
         made += 1
     return GSpElement(space, result)
 
@@ -1018,7 +1067,7 @@ def _frobenius_frame(space: SymplecticSpace):
     in adjacent-pair block form, and the invariants are those of
     `_scaled_frobenius`.
     """
-    w, invariants = _scaled_frobenius(space.gram)
+    w, invariants = _scaled_frobenius(space.gram_num, space.gram_den)
     return w, int_matrix_inverse(w), invariants
 
 
@@ -1039,19 +1088,20 @@ def sample_local_similitude(
     for _ in range(space.genus):
         a = rng.randint(lo, hi)
         exponents.extend([a, m - a])
-    conjugated = [
-        [
-            sum(
-                Fraction(w[k, i]) * Fraction(p) ** exponents[k] * w_inv[j, k]
-                for k in range(space.dim)
-            )
-            for j in range(space.dim)
-        ]
+    # Wᵀ·diag(p^e)·W⁻ᵀ over the denominator p^shift
+    shift = max(0, -min(exponents))
+    scaled = [
+        [w[k, i] * p ** (exponents[k] + shift) for k in range(space.dim)]
         for i in range(space.dim)
     ]
+    conjugated = int_matmul(scaled, _transpose(w_inv.entries))
     left = sample_integral_symplectic(space, rng, steps)
     right = sample_integral_symplectic(space, rng, steps)
-    return GSpElement(space, frac_matmul(frac_matmul(left.matrix, conjugated), right.matrix))
+    return GSpElement(
+        space,
+        int_matmul(int_matmul(left.num, conjugated), right.num),
+        left.den * p**shift * right.den,
+    )
 
 
 def sample_adelic_gsp(

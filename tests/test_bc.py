@@ -91,6 +91,14 @@ def test_builtin_rings_and_aliases():
         builtin_ring("Q(sqrt2)")
 
 
+def test_builtin_ring_is_built_once():
+    ring = builtin_ring("Q(i)")
+    assert builtin_ring("qi") is ring
+    assert build_params("Q(i)", (3, 0), 5).ring is ring
+    with pytest.raises(AttributeError):
+        ring.degree = 3
+
+
 def test_torsion_unit_counts():
     assert len(builtin_ring("Q").torsion_units()) == 2
     assert len(builtin_ring("Q(i)").torsion_units()) == 4

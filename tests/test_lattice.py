@@ -547,6 +547,9 @@ def test_empty_matrices_keep_their_width():
     assert (empty.rows, empty.cols) == (0, 3)
     product = empty * IntMatrix.identity(3)
     assert (product.rows, product.cols) == (0, 3)
+    # an inner dimension of zero gives the zero matrix of the outer shape
+    assert IntMatrix.zero(2, 0) * IntMatrix.zero(0, 4) == IntMatrix.zero(2, 4)
+    assert (IntMatrix.zero(2, 4) * IntMatrix.zero(4, 0)).rows == 2
     assert vstack(empty, IntMatrix([[1, 2, 3]])) == IntMatrix([[1, 2, 3]])
     assert right_kernel(IntMatrix.identity(2)).cols == 2
 

@@ -209,3 +209,29 @@ def test_constant_oracle():
 
 def test_series_value_horner():
     assert series_value((1, 2, 3), 2 + 0j) == 1 + 4 + 12
+
+
+def _random_reduced_point(rng):
+    """A rational point of the standard fundamental domain with y <= 4."""
+    x = Fraction(rng.randint(-500, 500), 1000)
+    y = Fraction(rng.randint(866, 4000), 1000)
+    while x * x + y * y < 1:
+        y += Fraction(1, 1000)
+    return half_plane_point(x, y)
+
+
+def test_j_oracle_error_bound_encloses_mpmath_kleinj():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(97)
+    for terms in range(2, 31):
+        oracle = j_oracle(terms)
+        for _ in range(6):
+            point = _random_reduced_point(rng)
+            result = oracle(point)
+            with mpmath.workdps(50):
+                tau = mpmath.mpc(
+                    mpmath.mpf(point.x.numerator) / point.x.denominator,
+                    mpmath.mpf(point.y.numerator) / point.y.denominator,
+                )
+                gap = abs(mpmath.mpc(result.value) - 1728 * mpmath.kleinj(tau))
+                assert gap <= result.error, (terms, point, gap, result.error)

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -439,3 +440,83 @@ def test_adjoint_projection_normalizes():
     assert adjoint_project(scaled) == adjoint_project(
         [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(3, 2)]]
     )
+
+
+# -- The group law on integer matrices over one denominator ------------------------
+
+
+def _fraction_similitude(g):
+    """nu with Mᵀ·G·M = nu·G, recomputed from the Fraction matrix."""
+    m, gram = g.matrix, g.space.gram
+    n = len(m)
+    product = [
+        [sum(m[k][i] * gram[k][l] * m[l][j] for k in range(n) for l in range(n))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    nus = {product[i][j] / gram[i][j] for i in range(n) for j in range(n) if gram[i][j]}
+    assert len(nus) == 1
+    nu = nus.pop()
+    assert all(product[i][j] == nu * gram[i][j] for i in range(n) for j in range(n))
+    return nu
+
+
+def _fraction_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _assert_canonical(g):
+    assert g.den > 0
+    assert gcd(g.den, *(x for row in g.num for x in row)) == 1
+    assert g.matrix == tuple(tuple(Fraction(x, g.den) for x in row) for row in g.num)
+    assert _fraction_similitude(g) == g.similitude
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("tailed", [False, True], ids=["no-tail", "7-adic-tail"])
+def test_group_law_on_integer_form(dim, tailed, decompose_spaces):
+    space = decompose_spaces[dim]
+    rng = random.Random(1000 * dim + tailed)
+    pool = [GSpElement.identity(space), sample_integral_symplectic(space, rng)]
+    while len(pool) < 5:
+        pool.extend(sample_adelic_gsp(space, [2, 3, 5], rng).local.values())
+    if tailed:
+        pool.append(sample_local_similitude(space, 7, rng))
+    identity = GSpElement.identity(space)
+    for a in pool:
+        _assert_canonical(a)
+        for p in (2, 3, 5, 7):
+            assert a.is_integral_at(p) == all(x.denominator % p for row in a.matrix for x in row)
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert inv.similitude == 1 / a.similitude
+        assert a * inv == identity == inv * a
+        assert (a * inv).matrix == _fraction_product(a.matrix, inv.matrix)
+        scaled = GSpElement(space, [[3 * x for x in row] for row in a.num], 3 * a.den)
+        assert scaled == a and hash(scaled) == hash(a)
+        rebuilt = GSpElement(space, a.matrix)
+        assert (rebuilt.num, rebuilt.den) == (a.num, a.den) and hash(rebuilt) == hash(a)
+        for b in pool:
+            ab = a * b
+            _assert_canonical(ab)
+            assert ab.similitude == a.similitude * b.similitude
+            assert ab.matrix == _fraction_product(a.matrix, b.matrix)
+            assert (a == b) == (a.matrix == b.matrix)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_group_law_rejects_non_similitudes(decompose_spaces):
+    space = decompose_spaces[4]
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+    rows[0][0] = 2  # scales one hyperbolic direction, not the form
+    with pytest.raises(ValueError):
+        GSpElement(space, rows)
+    with pytest.raises(ValueError):
+        GSpElement(space, rows, 3)
+    with pytest.raises(ValueError):
+        GSpElement(space, [[1] * 4 for _ in range(4)])  # singular
+    with pytest.raises(ValueError):
+        GSpElement(space, [[0] * 4 for _ in range(4)], 5)
+    with pytest.raises(ValueError):
+        GSpElement(space, GSpElement.identity(space).num, 0)
