@@ -613,12 +613,14 @@ class FiniteLevelParams:
     def place_exponents(self, exponents) -> Tuple[int, ...]:
         """Exponents over the places: a vector over the window primes gets zeros
         at the modulus-only places, and nonzero exponents there are rejected."""
-        exps = tuple(int(e) for e in exponents)
-        if len(exps) == len(self.primes):
-            exps += (0,) * (len(self.places) - len(self.primes))
+        exps = tuple(map(int, exponents))
+        n = len(self.primes)
+        if len(exps) == n:
+            return exps + (0,) * (len(self.places) - n)
         if len(exps) != len(self.places):
             raise ValueError("exponent vector length mismatch")
-        if any(e and not place.in_window for e, place in zip(exps, self.places)):
+        # the places past the window primes are the modulus-only ones
+        if any(exps[n:]):
             raise ValueError("exponents must vanish at primes outside the window")
         return exps
 
@@ -666,14 +668,15 @@ class FiniteLevelParams:
         P^{v_P(m)} + (m) for each: the powers are pairwise coprime, so
         their product is their intersection (CRT).
         """
+        exact_mask = tuple(exact_mask)
+        table = self._stab_cache.get(exact_mask)
+        if table is not None:
+            return table
         dividing = [
             (exact, place.m_valuation)
             for exact, place in zip(exact_mask, self.places) if place.m_valuation
         ]
         pinned = tuple((i, v) for i, (exact, v) in enumerate(dividing) if exact)
-        table = self._stab_cache.get(pinned)
-        if table is not None:
-            return table
         ring_mod = self.shimura.residues
         one = ring_mod.one()
         stab = {
@@ -687,7 +690,7 @@ class FiniteLevelParams:
                 coset = tuple(sorted({self.shimura.mult(w, s) for s in stab}))
                 for member in coset:
                     table[member] = coset
-        self._stab_cache[pinned] = table
+        self._stab_cache[exact_mask] = table
         return table
 
     def stabilizer_image(self, exact_mask: Tuple[bool, ...]) -> frozenset:
@@ -750,25 +753,46 @@ class Coefficient:
     """Gaussian rational combination of symbolic phases prod p^(i r).
 
     The trivial phase is the empty tuple, so plain Gaussian rationals are
-    coefficients with a single term keyed by ().
+    coefficients with a single part keyed by ().
+
+    Canonical form: ``parts`` is a tuple of (phase, re_num, im_num) sorted
+    by phase, with no part whose numerators both vanish, over one positive
+    integer ``den`` with gcd(den, every numerator) = 1.  Zero is () over 1.
+    So ``den`` is the least common denominator of the values, and two
+    coefficients are equal exactly when their (parts, den) are.  Sums work
+    over lcm(den1, den2) and products over den1 * den2; the Fraction view
+    ``terms`` is built on demand.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("parts", "den")
 
-    def __init__(self, terms: Dict[Tuple, Tuple[Fraction, Fraction]]):
-        cleaned = {
-            phase: (re, im)
-            for phase, (re, im) in terms.items()
-            if re != 0 or im != 0
-        }
-        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
+    def __init__(self, terms: Dict[Tuple, Tuple[int, int]], den: int = 1):
+        if den <= 0:
+            raise ValueError("coefficient denominator must be positive, got %r" % (den,))
+        parts = sorted((phase, re, im) for phase, (re, im) in terms.items() if re or im)
+        g = den
+        for _, re, im in parts:
+            g = math.gcd(g, re, im)
+        if not parts:
+            den = 1
+        elif g > 1:
+            parts = [(phase, re // g, im // g) for phase, re, im in parts]
+            den //= g
+        object.__setattr__(self, "parts", tuple(parts))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("Coefficient is immutable")
 
     @staticmethod
     def of(re, im=0) -> "Coefficient":
-        return Coefficient({(): (Fraction(re), Fraction(im))})
+        re, im = Fraction(re), Fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        return Coefficient(
+            {(): (re.numerator * (den // re.denominator),
+                  im.numerator * (den // im.denominator))},
+            den,
+        )
 
     @staticmethod
     def zero() -> "Coefficient":
@@ -776,59 +800,70 @@ class Coefficient:
 
     @staticmethod
     def one() -> "Coefficient":
-        return Coefficient.of(1)
+        return Coefficient({(): (1, 0)})
+
+    @property
+    def terms(self) -> Tuple[Tuple[Tuple, Tuple[Fraction, Fraction]], ...]:
+        """The (phase, (re, im)) pairs with Gaussian rational values."""
+        den = self.den
+        return tuple(
+            (phase, (Fraction(re, den), Fraction(im, den)))
+            for phase, re, im in self.parts
+        )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.parts
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        out = {phase: [re, im] for phase, (re, im) in self.terms}
-        for phase, (re, im) in other.terms:
-            slot = out.setdefault(phase, [Fraction(0), Fraction(0)])
-            slot[0] += re
-            slot[1] += im
-        return Coefficient({p: (v[0], v[1]) for p, v in out.items()})
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        a, b = d2 // g, d1 // g
+        out = {phase: (re * a, im * a) for phase, re, im in self.parts}
+        for phase, re, im in other.parts:
+            slot = out.get(phase, (0, 0))
+            out[phase] = (slot[0] + re * b, slot[1] + im * b)
+        return Coefficient(out, d1 * a)
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient({p: (-re, -im) for p, (re, im) in self.terms})
+        return Coefficient({p: (-re, -im) for p, re, im in self.parts}, self.den)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self + (-other)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
-        out: Dict[Tuple, List[Fraction]] = {}
-        for pa, (ra, ia) in self.terms:
-            for pb, (rb, ib) in other.terms:
-                phase = _phase_mul(pa, pb)
-                slot = out.setdefault(phase, [Fraction(0), Fraction(0)])
-                slot[0] += ra * rb - ia * ib
-                slot[1] += ra * ib + ia * rb
-        return Coefficient({p: (v[0], v[1]) for p, v in out.items()})
+        out: Dict[Tuple, Tuple[int, int]] = {}
+        for pa, ra, ia in self.parts:
+            for pb, rb, ib in other.parts:
+                phase = _phase_mul(pa, pb) if pa and pb else pa or pb
+                slot = out.get(phase, (0, 0))
+                out[phase] = (slot[0] + ra * rb - ia * ib, slot[1] + ra * ib + ia * rb)
+        return Coefficient(out, self.den * other.den)
 
     def conj(self) -> "Coefficient":
         return Coefficient(
-            {_phase_conj(p): (re, -im) for p, (re, im) in self.terms}
+            {_phase_conj(p): (re, -im) for p, re, im in self.parts}, self.den
         )
 
     def phase_shift(self, phase: Tuple) -> "Coefficient":
         return Coefficient(
-            {_phase_mul(p, phase): (re, im) for p, (re, im) in self.terms}
+            {_phase_mul(p, phase): (re, im) for p, re, im in self.parts}, self.den
         )
 
     def constant(self) -> Tuple[Fraction, Fraction]:
         """The Gaussian rational value, requiring every phase to be trivial."""
-        for phase, _ in self.terms:
+        for phase, _, _ in self.parts:
             if phase:
                 raise ValueError("coefficient carries nontrivial phases")
-        if not self.terms:
+        if not self.parts:
             return (Fraction(0), Fraction(0))
         return self.terms[0][1]
 
     def __eq__(self, other):
-        return isinstance(other, Coefficient) and self.terms == other.terms
+        return (isinstance(other, Coefficient) and self.den == other.den
+                and self.parts == other.parts)
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash((self.parts, self.den))
 
     def __repr__(self):
         if not self.terms:
@@ -868,7 +903,7 @@ class OrbitKey(Tuple):
 
 
 def _exact_mask(locals_) -> Tuple[bool, ...]:
-    return tuple(kind == EXACT for kind, _ in locals_)
+    return tuple([kind == EXACT for kind, _ in locals_])
 
 
 def make_key(params: FiniteLevelParams, exponents, locals_, wlabels) -> Optional[OrbitKey]:
@@ -1032,37 +1067,73 @@ def _intersect_local(loc1, loc2, shift: int):
     return (TOP, max(floor1, v2))
 
 
+def _range_meets(local, range_) -> bool:
+    """Whether a right-hand term's range class (kind2, t2) at one place meets
+    a left-hand local class (kind1, v1); see `convolve`."""
+    kind1, v1 = local
+    kind2, t2 = range_
+    if kind1 == EXACT:
+        return t2 == v1 if kind2 == EXACT else t2 <= v1
+    return kind2 == TOP or t2 >= v1
+
+
 def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
     """Groupoid convolution by counting composable factorizations.
 
     A pair of orbit classes composes one coset of middle arrows at a time;
     the contribution lands on the orbit of the composite and equals the
     product of the coefficients.
+
+    The right-hand terms are indexed by their range classes.  At place i a
+    right-hand key with exponent s and local class (kind2, v2) has the
+    range class (kind2, t2) with t2 = s + v2, and it meets the left-hand
+    local class (kind1, v1) exactly when
+
+        ======  ======  ========
+        kind1   kind2   rule
+        ======  ======  ========
+        EXACT   EXACT   t2 == v1
+        EXACT   TOP     t2 <= v1
+        TOP     EXACT   t2 >= v1
+        TOP     TOP     always
+        ======  ======  ========
+
+    which is `_intersect_local(...) is not None` because keys keep every
+    v >= 0.  The right-hand terms that meet each distinct left-hand
+    ``locals`` are listed once, in f2 order, so the output keys are
+    inserted in the order of the plain all-pairs loop.
     """
     if f1.params is not f2.params:
         raise ValueError("elements live over different parameters")
     params = f1.params
     mult = params.shimura.mult
-    right = [
-        (k2, c2, params.class_of_exponents(k2.exponents), set(k2.wcoset))
-        for k2, c2 in f2.terms.items()
-    ]
+    right = []
+    groups: Dict[Tuple, List[int]] = {}
+    for j, (k2, c2) in enumerate(f2.terms.items()):
+        right.append((k2, c2, params.class_of_exponents(k2.exponents), set(k2.wcoset)))
+        ranges = tuple((kind, s + v) for (kind, v), s in zip(k2.locals, k2.exponents))
+        groups.setdefault(ranges, []).append(j)
+    partners: Dict[Tuple, List[int]] = {}
     out: Dict[OrbitKey, Coefficient] = {}
     for k1, c1 in f1.terms.items():
-        for k2, c2, shift_cls, target in right:
-            locals_out = []
-            feasible = True
-            for loc1, loc2, s in zip(k1.locals, k2.locals, k2.exponents):
-                merged = _intersect_local(loc1, loc2, s)
-                if merged is None:
-                    feasible = False
-                    break
-                locals_out.append(merged)
-            if not feasible:
-                continue
-            meet = {mult(w, shift_cls) for w in k1.wcoset} & target
+        hits = partners.get(k1.locals)
+        if hits is None:
+            hits = sorted(
+                j for ranges, members in groups.items()
+                if all(map(_range_meets, k1.locals, ranges))
+                for j in members
+            )
+            partners[k1.locals] = hits
+        shifted: Dict[str, set] = {}
+        for j in hits:
+            k2, c2, shift_cls, target = right[j]
+            moved = shifted.get(shift_cls)
+            if moved is None:
+                moved = shifted[shift_cls] = {mult(w, shift_cls) for w in k1.wcoset}
+            meet = moved & target
             if not meet:
                 continue
+            locals_out = tuple(map(_intersect_local, k1.locals, k2.locals, k2.exponents))
             exponents = tuple(a + b for a, b in zip(k1.exponents, k2.exponents))
             mask = _exact_mask(locals_out)
             product = c1 * c2
@@ -1070,7 +1141,8 @@ def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
                 key = make_key(params, exponents, locals_out, coset)
                 if key is None:
                     raise AssertionError("composite key lost validity")
-                out[key] = out.get(key, Coefficient.zero()) + product
+                prev = out.get(key)
+                out[key] = product if prev is None else prev + product
     return AlgebraElement(params, out)
 
 

@@ -195,7 +195,7 @@ class SymplecticSpace:
     """
 
     __slots__ = ("summands", "gram", "dim", "gram_num", "gram_den", "gram_inv_num",
-                 "gram_inv_den")
+                 "gram_inv_den", "_frame")
 
     def __init__(self, summands, gram):
         object.__setattr__(self, "summands", tuple(summands))
@@ -208,6 +208,7 @@ class SymplecticSpace:
             num = tuple(tuple(int(x * den) for x in row) for row in rows)
             object.__setattr__(self, name + "_num", num)
             object.__setattr__(self, name + "_den", den)
+        object.__setattr__(self, "_frame", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("SymplecticSpace is immutable")
@@ -1059,16 +1060,18 @@ def sample_integral_symplectic(space: SymplecticSpace, rng, steps: int = 4) -> G
     return GSpElement(space, result)
 
 
-@lru_cache(maxsize=None)
 def _frobenius_frame(space: SymplecticSpace):
-    """Frobenius data of the space's pairing, computed once per space.
+    """Frobenius data of the space's pairing, computed on first use and
+    kept on the space.
 
     Returns (W, W⁻¹, invariants): W is integral unimodular with W·gram·Wᵀ
     in adjacent-pair block form, and the invariants are those of
     `_scaled_frobenius`.
     """
-    w, invariants = _scaled_frobenius(space.gram_num, space.gram_den)
-    return w, int_matrix_inverse(w), invariants
+    if space._frame is None:
+        w, invariants = _scaled_frobenius(space.gram_num, space.gram_den)
+        object.__setattr__(space, "_frame", (w, int_matrix_inverse(w), invariants))
+    return space._frame
 
 
 def sample_local_similitude(

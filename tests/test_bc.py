@@ -8,6 +8,7 @@ independent computation.
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -21,7 +22,9 @@ from cmforge.bc import (
     Coefficient,
     GroupoidArrow,
     ResidueRing,
+    _intersect_local,
     _prime_ideal_norms,
+    _range_meets,
     _rational_primes,
     _splitting_data,
     build_finite_bc,
@@ -608,6 +611,195 @@ def test_coset_tables_match_brute_force(level, request):
                 assert params.split_coset(labels, mask) == _brute_split(params, labels, mask)
     if len(sh) > 1:
         assert unsaturated
+
+
+# -- The convolution index against all pairs ---------------------------------------------
+
+
+def test_range_class_rule_matches_intersect_local():
+    kinds = (EXACT, TOP)
+    outcomes = set()
+    for kind1, v1, kind2, v2, s in itertools.product(kinds, range(5), kinds, range(5),
+                                                     range(-3, 4)):
+        if v2 < -s:
+            continue  # make_key keeps v >= -e at every place
+        meets = _range_meets((kind1, v1), (kind2, s + v2))
+        assert meets == (_intersect_local((kind1, v1), (kind2, v2), s) is not None)
+        outcomes.add((kind1, kind2, meets))
+    assert outcomes == set(itertools.product(kinds, kinds, (True, False))) - {
+        (TOP, TOP, False)
+    }
+
+
+def _all_pairs_convolve(f1, f2):
+    """Convolution testing every pair of terms; also counts the pairs whose
+    local classes do not meet."""
+    params = f1.params
+    sh = params.shimura
+    out = {}
+    disjoint = 0
+    for k1, c1 in f1.terms.items():
+        for k2, c2 in f2.terms.items():
+            locals_out = [_intersect_local(a, b, s)
+                          for a, b, s in zip(k1.locals, k2.locals, k2.exponents)]
+            if None in locals_out:
+                disjoint += 1
+                continue
+            shift = params.class_of_exponents(k2.exponents)
+            meet = {sh.mult(w, shift) for w in k1.wcoset} & set(k2.wcoset)
+            if not meet:
+                continue
+            exponents = tuple(a + b for a, b in zip(k1.exponents, k2.exponents))
+            mask = tuple(kind == EXACT for kind, _ in locals_out)
+            for coset in params.split_coset(tuple(sorted(meet)), mask):
+                key = make_key(params, exponents, locals_out, coset)
+                out[key] = out.get(key, Coefficient.zero()) + c1 * c2
+    return AlgebraElement(params, out), disjoint
+
+
+@pytest.mark.parametrize("level", ["params_q", "params_qi", "params_q7", "params_qi7",
+                                   "params_qi6"])
+def test_convolve_matches_all_pairs_reference(level, request):
+    params = request.getfixturevalue(level)
+    rng = random.Random(79)
+    disjoint = 0
+    for _ in range(3):
+        f = sample_algebra_element(params, rng, terms=16, exponent_cap=1)
+        h = sample_algebra_element(params, rng, terms=8, exponent_cap=2)
+        fs = involution(f)
+        g = convolve(f, fs)
+        for a, b in ((f, h), (h, f), (f, fs), (g, g), (g, h)):
+            expected, skipped = _all_pairs_convolve(a, b)
+            disjoint += skipped
+            # same keys, coefficients and insertion order
+            assert list(convolve(a, b).terms.items()) == list(expected.terms.items())
+    assert disjoint
+
+
+# -- Integer coefficients against Fraction arithmetic -----------------------------------
+
+
+def _oracle_phase_mul(a, b):
+    merged = dict(a)
+    for p, r in b:
+        merged[p] = merged.get(p, 0) + r
+    return tuple(sorted((p, r) for p, r in merged.items() if r))
+
+
+def _oracle_add(x, y, sign=1):
+    out = dict(x)
+    for phase, (re, im) in y.items():
+        r0, i0 = out.get(phase, (Fraction(0), Fraction(0)))
+        out[phase] = (r0 + sign * re, i0 + sign * im)
+    return out
+
+
+def _oracle_mul(x, y):
+    out = {}
+    for pa, (ra, ia) in x.items():
+        for pb, (rb, ib) in y.items():
+            phase = _oracle_phase_mul(pa, pb)
+            r0, i0 = out.get(phase, (Fraction(0), Fraction(0)))
+            out[phase] = (r0 + ra * rb - ia * ib, i0 + ra * ib + ia * rb)
+    return out
+
+
+def _oracle_terms(values):
+    return tuple(sorted((p, (re, im)) for p, (re, im) in values.items() if re or im))
+
+
+def _oracle_repr(values):
+    """The repr of a coefficient held as Fraction pairs, as it always read."""
+    terms = _oracle_terms(values)
+    if not terms:
+        return "Coefficient(0)"
+    bits = []
+    for phase, (re, im) in terms:
+        tag = "" if not phase else " * " + " ".join("%d^(i*%s)" % (p, r) for p, r in phase)
+        bits.append("(%s %s %si)%s" % (re, "+" if im >= 0 else "-", abs(im), tag))
+    return "Coefficient(%s)" % " + ".join(bits)
+
+
+def _assert_matches_oracle(coeff, values, rng):
+    terms = _oracle_terms(values)
+    assert coeff.terms == terms
+    assert repr(coeff) == _oracle_repr(values)
+    assert coeff.is_zero() == (not terms)
+    # canonical form: sorted nonzero parts over the least common denominator
+    phases = [phase for phase, _, _ in coeff.parts]
+    assert phases == sorted(set(phases))
+    assert all(re or im for _, re, im in coeff.parts)
+    assert coeff.den > 0
+    assert math.gcd(coeff.den, *(n for _, re, im in coeff.parts for n in (re, im))) == 1
+    if not coeff.parts:
+        assert coeff.den == 1
+    if all(not phase for phase, _ in terms):
+        assert coeff.constant() == (terms[0][1] if terms else (Fraction(0), Fraction(0)))
+    else:
+        with pytest.raises(ValueError, match="nontrivial phases"):
+            coeff.constant()
+    # a rescaled input lands on the same coefficient
+    k = rng.randint(2, 9)
+    rescaled = Coefficient({p: (k * re, k * im) for p, re, im in coeff.parts}, k * coeff.den)
+    assert (rescaled.parts, rescaled.den) == (coeff.parts, coeff.den)
+    assert rescaled == coeff and hash(rescaled) == hash(coeff)
+
+
+def test_coefficients_match_fraction_oracle(params_q, params_qi):
+    rng = random.Random(83)
+    pool = [(Coefficient.zero(), {}), (Coefficient.one(), {(): (Fraction(1), Fraction(0))})]
+    phases = []
+    for params in (params_q, params_qi):
+        keys = list(sample_algebra_element(params, rng, terms=6, exponent_cap=2).terms)
+        values = {key: (Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 12))) for key in keys}
+        f = AlgebraElement(params, {k: Coefficient.of(*v) for k, v in values.items()})
+        for t in (Fraction(1, 2), Fraction(-2, 3), Fraction(5)):
+            for key, coeff in time_evolution(f, t).terms.items():
+                norms = idele_norm_exponents(params, key.exponents)
+                phase = tuple(sorted((p, k * t) for p, k in norms.items()))
+                expected = {phase: values[key]}
+                _assert_matches_oracle(coeff, expected, rng)
+                pool.append((coeff, expected))
+                phases.append(phase)
+    assert any(phases)
+    for _ in range(400):
+        (a, x), (b, y) = rng.choice(pool), rng.choice(pool)
+        op = rng.choice(("+", "-", "*", "conj", "shift"))
+        if op == "+":
+            c, z = a + b, _oracle_add(x, y)
+        elif op == "-":
+            c, z = a - b, _oracle_add(x, y, -1)
+        elif op == "*":
+            c, z = a * b, _oracle_mul(x, y)
+        elif op == "conj":
+            c = a.conj()
+            z = {tuple((p, -r) for p, r in phase): (re, -im) for phase, (re, im) in x.items()}
+        else:
+            shift = rng.choice(phases)
+            c = a.phase_shift(shift)
+            z = {_oracle_phase_mul(phase, shift): v for phase, v in x.items()}
+        _assert_matches_oracle(c, z, rng)
+        if len(c.parts) <= 4:
+            pool.append((c, z))
+    assert any(len(c.parts) > 1 for c, _ in pool)
+
+
+def test_coefficient_canonical_form_and_repr():
+    assert repr(Coefficient.of(Fraction(1, 2), Fraction(-2, 3))) == "Coefficient((1/2 - 2/3i))"
+    assert repr(Coefficient.zero()) == "Coefficient(0)"
+    half = ((2, Fraction(1, 2)), (3, Fraction(1, 2)))
+    mixed = Coefficient({half: (4, 0), (): (-3, 20)}, 4)
+    assert (mixed.parts, mixed.den) == ((((), -3, 20), (half, 4, 0)), 4)
+    assert repr(mixed) == "Coefficient((-3/4 + 5i) + (1 + 0i) * 2^(i*1/2) 3^(i*1/2))"
+    assert Coefficient({(): (2, 4)}, 6) == Coefficient.of(Fraction(1, 3), Fraction(2, 3))
+    assert hash(Coefficient({(): (2, 4)}, 6)) == hash(Coefficient({(): (1, 2)}, 3))
+    assert Coefficient({(): (2, 4)}, 6) != Coefficient({(): (2, 4)}, 5)
+    zero = Coefficient({(): (0, 0), half: (0, 0)}, 7)
+    assert (zero.parts, zero.den) == ((), 1) and zero == Coefficient.zero()
+    for den in (0, -1, -6):
+        with pytest.raises(ValueError, match="denominator"):
+            Coefficient({(): (1, 0)}, den)
 
 
 # -- Brute force oracle ------------------------------------------------------------------

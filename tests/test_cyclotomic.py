@@ -27,6 +27,14 @@ def test_cyclotomic_polynomials_match_the_classical_table():
     assert -2 in cyclotomic_polynomial(105)
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 101):
+        theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in theirs)
+
+
 def test_gaussian_arithmetic():
     i = Z(4)
     assert i * i == -1

@@ -447,6 +447,26 @@ def test_hnf_reduce_quotient_and_remainder():
             assert hnf_reduce(h, [a + b for a, b in zip(vec, shift)])[1] == r
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_dim=5), st.lists(st.integers(-60, 60), min_size=5, max_size=5))
+def test_hnf_and_reduce_against_sympy(m, entries):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+    h, _ = hermite_normal_form(m)
+    rows = [row for row in h.entries if any(row)]
+    # sympy's form is column-style with pivots at the bottom right: the
+    # transpose of m with its columns reversed, read back reversed, is ours
+    flipped = sympy.Matrix([row[::-1] for row in m.entries]).T
+    theirs = sympy_hnf(flipped) if flipped.rank() else sympy.zeros(m.cols, 0)
+    assert rows == [tuple(int(x) for x in theirs[::-1, j]) for j in reversed(range(theirs.cols))]
+    vec = tuple(entries[:m.cols])
+    q, r = hnf_reduce(h, vec)
+    assert tuple(a + b for a, b in zip(h.act_on_row(q), r)) == vec
+    for row in rows:
+        p = next(j for j, x in enumerate(row) if x)
+        assert 0 <= r[p] < row[p]
+
+
 # -- condition solver --------------------------------------------------------
 
 
