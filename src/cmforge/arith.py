@@ -19,10 +19,12 @@ elements: functions on arrows supported on the unit part of the monoid
 whose values at the degenerate states are algebraic numbers.
 
 Precision convention.  A residue modulo the working modulus M only pins
-its realization matrix down to the ideal lattice of M, so every check
-that compares realized matrices does it row by row against that lattice,
-prime by prime.  Exact equality is reserved for data the finite model
-stores exactly (labels, exponents, reduced residues, half plane points).
+its realization matrix down to the ideal lattice L of M, so every check
+that compares realized matrices does it column by column against that
+lattice, prime by prime: in integers, a column lies in L at p when it
+reduces to zero against the Hermite form of L + p^a·O, p^a the p-part of
+[O:L].  Exact equality is reserved for data the finite model stores
+exactly (labels, exponents, reduced residues, half plane points).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bc import FiniteLevelParams, GroupoidArrow, sample_arrow
 from .cyclotomic import CyclotomicElement
 from .galois import FieldHandle, builtin_scenario
-from .lattice import frac_inv, frac_matmul
+from .lattice import IntMatrix, hermite_normal_form, hnf_reduce, int_matmul, vstack
 from .modular import (
     HalfPlanePoint,
     ModularOracle,
@@ -50,7 +52,6 @@ from .symplectic import (
     SymplecticSpace,
     build_cm_point,
     decompose_gsp,
-    gsp_realization,
     phi_morphism,
     sample_adelic_gsp,
     standard_j,
@@ -116,8 +117,9 @@ class CMContext:
         "space",
         "x_cm",
         "prime_support",
+        "_conjugations",
         "_realize_cache",
-        "_lattice_inverse",
+        "_local_forms",
         "_level_cache",
         "_section_cache",
     )
@@ -141,24 +143,57 @@ class CMContext:
             )
         self.x_cm = half_plane_point(0, 1)
         self.prime_support = tuple(sorted({pl.p for pl in params.places}))
-        self._realize_cache: Dict[Tuple, GSpElement] = {}
-        lattice = [[Fraction(x) for x in row] for row in params.residues.lattice.entries]
-        self._lattice_inverse = frac_inv(lattice)
-        self._level_cache: Dict[Tuple[int, ...], Tuple[GSpElement, AdelicGSp]] = {}
+        # phi's values pull back to the summand field as the value at the
+        # embedding coset holding the identity, so the realized element is
+        # prod sigma_j(x)^e, one exponent e per source embedding j, read
+        # off that column of phi's character map
+        scenario = phi.source.scenario
+        order = scenario.elements.index
+        column = next(
+            k for k, coset in enumerate(summand.field.embeddings)
+            if scenario.identity in coset
+        )
+        ring = params.ring
+        conjugations = []
+        for i, coset in enumerate(phi.source.basis_labels):
+            e = phi.char_map[i, column]
+            if e < 0:
+                raise ValueError("the reflex norm character has a negative exponent")
+            if e:
+                j = int(min(coset, key=order))
+                rows = tuple(ring.coords(b.galois(j)) for b in ring.basis)
+                conjugations.append((rows, e))
+        self._conjugations = tuple(conjugations)
+        self._realize_cache: Dict[Tuple[int, ...], GSpElement] = {}
+        self._local_forms: Dict[int, IntMatrix] = {}
+        self._level_cache: Dict[Tuple[int, ...], Tuple] = {}
         self._section_cache: Dict[str, Tuple[int, ...]] = {}
 
-    def realize(self, element: CyclotomicElement) -> GSpElement:
-        """Similitude realizing multiplication by a nonzero field element."""
-        key = tuple(element.coeffs)
+    def realize(self, coords) -> GSpElement:
+        """Similitude of multiplication by the reflex norm of a nonzero x in O.
+
+        The realization is the reflex-norm character read off ``phi``:
+        N(x) = prod sigma_j(x)^e over the conjugations and exponents fixed
+        at construction, computed in integer O-coordinates, each conjugate
+        by its integer matrix and each product through ``times_rows``.  The
+        summand basis is the ring basis, so the matrix acting on columns is
+        coord_rows(N(x)) transposed.  ``coords`` are the O-coordinates of x:
+        a reduced residue is realized through its canonical lift, a place
+        through its generator.  Zero raises ValueError from the similitude
+        check.
+        """
+        key = tuple(coords)
         got = self._realize_cache.get(key)
         if got is None:
-            got = gsp_realization(self.point, self.phi, element)
+            ring = self.params.ring
+            value = (1,) + (0,) * (ring.degree - 1)
+            for rows, e in self._conjugations:
+                factor = ring.coord_rows(ring.times_rows(key, rows))
+                for _ in range(e):
+                    value = ring.times_rows(value, factor)
+            got = GSpElement(self.space, tuple(zip(*ring.coord_rows(value))))
             self._realize_cache[key] = got
         return got
-
-    def lift(self, residue_coords) -> CyclotomicElement:
-        """Canonical integral element reducing to the given residue."""
-        return self.params.ring.from_coords(self.params.residues.reduce(residue_coords))
 
     def monoid_matrix(self, rho_coords) -> Tuple[Tuple[int, ...], ...]:
         """Multiplication matrix of the monoid lift, columns reduced mod M.
@@ -174,24 +209,54 @@ class CMContext:
         rows = self.params.ring.coord_rows(residues.reduce(rho_coords))
         return tuple(zip(*(residues.reduce(row) for row in rows)))
 
+    def _local_form(self, p: int) -> IntMatrix:
+        """Hermite form of L + p^a·O, L the ideal lattice of M, p^a || [O:L].
+
+        The p-part of O/L has exponent dividing p^a, so p^a·O lies in L at
+        p, and p^a is a unit at every other prime: the sum equals L at p
+        and O elsewhere.  An integer vector is in L at p exactly when it is
+        in this lattice.
+        """
+        form = self._local_forms.get(p)
+        if form is None:
+            lattice = self.params.residues.lattice
+            index, a = abs(lattice.determinant()), 0
+            while index % p == 0:
+                index //= p
+                a += 1
+            h, _ = hermite_normal_form(vstack(lattice, IntMatrix.identity(lattice.cols) * p**a))
+            form = IntMatrix([row for row in h.entries if any(row)])
+            self._local_forms[p] = form
+        return form
+
     def columns_congruent_at(self, m1, m2, p: int) -> bool:
         """Column lattice congruence of two matrices at one prime.
 
-        The difference of each column is expanded in the ideal lattice
-        basis of the working modulus; the matrices agree at the stored
-        precision exactly when all those coefficients are p-integral.
+        Each matrix is a pair (rows, den) of integer rows over a positive
+        denominator.  The matrices agree at the stored precision exactly
+        when every column of their difference lies in the ideal lattice L
+        of the working modulus at p.  A column of the difference is v/den
+        with v an integer vector and den = den1·den2; the p-part p^s of den
+        must divide v, and v/p^s must reduce to zero against the Hermite
+        form of L + p^a·O (`_local_form`), as the rest of den is a unit at p.
         """
-        d = len(self._lattice_inverse)
-        for j in range(d):
-            diff = [Fraction(m1[i][j]) - Fraction(m2[i][j]) for i in range(d)]
-            for col in range(d):
-                coeff = sum(diff[k] * self._lattice_inverse[k][col] for k in range(d))
-                if coeff and coeff.denominator % p == 0:
+        (a, da), (b, db) = m1, m2
+        form = self._local_form(p)
+        den = da * db
+        for j in range(form.cols):
+            v = [x[j] * db - y[j] * da for x, y in zip(a, b)]
+            s = den
+            while s % p == 0:
+                if any(x % p for x in v):
                     return False
+                v = [x // p for x in v]
+                s //= p
+            if any(hnf_reduce(form, v)[1]):
+                return False
         return True
 
     def matrices_congruent(self, m1, m2) -> bool:
-        """Congruence at every stored prime of the context."""
+        """Congruence at every stored prime of the context, on (rows, den) pairs."""
         return all(self.columns_congruent_at(m1, m2, p) for p in self.prime_support)
 
 
@@ -257,7 +322,7 @@ class ShimuraArrow:
             g = self.unit_part
             for place, e in zip(ctx.params.places, self.exponents):
                 if place.p == p and e:
-                    pi = ctx.realize(place.element)
+                    pi = ctx.realize(place.coords)
                     power = pi if e > 0 else pi.inverse()
                     for _ in range(abs(e)):
                         g = g * power
@@ -272,7 +337,7 @@ def omega_map(context: CMContext, arrow: GroupoidArrow) -> ShimuraArrow:
     """Realize a finite groupoid arrow on the symplectic side."""
     if arrow.params is not context.params:
         raise ValueError("arrow belongs to a different parameter set")
-    unit = context.realize(context.lift(arrow.unit))
+    unit = context.realize(arrow.unit)
     monoid = context.monoid_matrix(arrow.rho)
     return ShimuraArrow(context, unit, arrow.exponents, monoid, arrow.rho, arrow.w)
 
@@ -287,8 +352,8 @@ def translate_shimura(sh: ShimuraArrow, gamma1_coords, gamma2_coords) -> Shimura
     """
     ctx = sh.context
     params = ctx.params
-    g1 = ctx.realize(ctx.lift(gamma1_coords))
-    g2 = ctx.realize(ctx.lift(gamma2_coords))
+    g1 = ctx.realize(params.residues.reduce(gamma1_coords))
+    g2 = ctx.realize(params.residues.reduce(gamma2_coords))
     unit = g1.inverse() * sh.unit_part * g2
     rho = params.residues.mul(gamma2_coords, sh.rho)
     # g2 times the old monoid, columns reduced mod M, is the monoid of g2 rho
@@ -307,9 +372,10 @@ def shimura_arrows_congruent(a: ShimuraArrow, b: ShimuraArrow) -> bool:
     if a.rho != b.rho:
         return False
     ctx = a.context
-    if not ctx.matrices_congruent(a.unit_part.matrix, b.unit_part.matrix):
+    ua, ub = a.unit_part, b.unit_part
+    if not ctx.matrices_congruent((ua.num, ua.den), (ub.num, ub.den)):
         return False
-    return ctx.matrices_congruent(a.monoid, b.monoid)
+    return ctx.matrices_congruent((a.monoid, 1), (b.monoid, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +422,10 @@ def level_idele(context: CMContext, unit_coords) -> AdelicGSp:
     coords = params.residues.reduce(unit_coords)
     if not params.residues.is_unit(coords):
         raise ValueError("level representative is not a unit residue")
-    element = context.lift(coords)
     support = sorted(
         {pl.p for pl in params.places if pl.m_valuation > 0}
     )
-    local = {p: context.realize(element) for p in support}
+    local = {p: context.realize(coords) for p in support}
     return AdelicGSp(context.space, local)
 
 
@@ -396,9 +461,13 @@ class ThetaData:
         return self.context.params.residues.is_unit(self.rho)
 
     def monoid_matrix_at(self, p: int):
-        """The realized monoid coordinate at one prime, beta times rho."""
-        rows = [[Fraction(x) for x in row] for row in self.monoid]
-        return frac_matmul([list(r) for r in self.beta.local_at(p).matrix], rows)
+        """The realized monoid coordinate at one prime, beta times rho.
+
+        Returned as a pair (rows, den) of integer rows over beta's
+        denominator at p.
+        """
+        beta = self.beta.local_at(p)
+        return int_matmul(beta.num, self.monoid), beta.den
 
     def __repr__(self):
         return "ThetaData(z=%s + %s i, level=%r)" % (self.z.x, self.z.y, self.level)
@@ -420,32 +489,43 @@ def theta_map(
     alpha.  A decomposition twist by an integral element of positive
     multiplier replaces (alpha, beta) with (alpha delta, delta^{-1} beta)
     and leaves the adjoint class unchanged.
+
+    The per-level data, (alpha, beta), beta's inverse at its stored primes
+    and at the tail, and the base point z, depend only on the level unit
+    and are cached on the context under it.  A twisted call recomputes
+    all of it from the twisted pair and never writes to that cache.
     """
     sh = omega_map(context, arrow)
     level_unit = level_unit_of(context, arrow.w)
-    cached = context._level_cache.get(level_unit)
-    if cached is None:
-        alpha, beta = decompose_gsp(level_idele(context, level_unit))
-        context._level_cache[level_unit] = (alpha, beta)
-    else:
-        alpha, beta = cached
+    data = context._level_cache.get(level_unit)
+    if data is None:
+        data = _level_data(context, *decompose_gsp(level_idele(context, level_unit)))
+        context._level_cache[level_unit] = data
     if decomposition_twist is not None:
         delta = decomposition_twist
         if delta.similitude <= 0:
             raise ValueError("decomposition twist needs a positive multiplier")
-        alpha = alpha * delta
-        beta = beta.scale_left(delta.inverse())
+        beta = data[1].scale_left(delta.inverse())
         if not beta.is_everywhere_integral():
             raise ValueError("decomposition twist leaves the integral part")
+        data = _level_data(context, data[0] * delta, beta)
+    alpha, beta, beta_inv, z = data
     group = sh.group_part()
-    beta_inv_tail = beta.tail.inverse()
     support = sorted(set(group.support) | set(beta.support))
-    local = {
-        p: group.local_at(p) * beta.local_at(p).inverse() for p in support
-    }
-    moved = AdelicGSp(context.space, local, tail=group.tail * beta_inv_tail)
-    z = mobius_transform(alpha.inverse().matrix, context.x_cm)
+    local = {p: group.local_at(p) * beta_inv.local_at(p) for p in support}
+    moved = AdelicGSp(context.space, local, tail=group.tail * beta_inv.tail)
     return ThetaData(context, moved, alpha, beta, sh.monoid, sh.rho, z, arrow.w)
+
+
+def _level_data(context: CMContext, alpha: GSpElement, beta: AdelicGSp):
+    """(alpha, beta, beta inverse, base point) of one level decomposition."""
+    beta_inv = AdelicGSp(
+        context.space,
+        {p: g.inverse() for p, g in beta.local.items()},
+        tail=beta.tail.inverse(),
+    )
+    z = mobius_transform(alpha.inverse().matrix, context.x_cm)
+    return alpha, beta, beta_inv, z
 
 
 def _half_plane_stabilizer(z: HalfPlanePoint):
@@ -478,14 +558,11 @@ def adjoint_equivalent(t1: ThetaData, t2: ThetaData) -> bool:
     z2, g2 = reduce_point(t2.z)
     if z1 != z2:
         return False
-    t1_rows = [[Fraction(x) for x in row] for row in g1]
-    t2_rows = [[Fraction(x) for x in row] for row in g2]
+    # g2 has determinant one, so its adjugate is its inverse
+    (a, b), (c, d) = g2
+    g2_inv = ((d, -b), (-c, a))
     for sigma in _half_plane_stabilizer(z1):
-        cand = frac_matmul(
-            frac_inv(t2_rows), frac_matmul([list(r) for r in sigma], t1_rows)
-        )
-        if any(x.denominator != 1 for row in cand for x in row):
-            continue
+        cand = int_matmul(g2_inv, int_matmul(sigma, g1))
         try:
             gamma2 = GSpElement(ctx.space, cand)
         except ValueError:
@@ -495,9 +572,9 @@ def adjoint_equivalent(t1: ThetaData, t2: ThetaData) -> bool:
         # monoid: beta2 rho2 must match gamma2 beta1 rho1 mod M
         ok = True
         for p in ctx.prime_support:
-            lhs = t2.monoid_matrix_at(p)
-            rhs = frac_matmul([list(r) for r in gamma2.matrix], t1.monoid_matrix_at(p))
-            if not ctx.columns_congruent_at(lhs, rhs, p):
+            rows, den = t1.monoid_matrix_at(p)
+            rhs = int_matmul(gamma2.num, rows), gamma2.den * den
+            if not ctx.columns_congruent_at(t2.monoid_matrix_at(p), rhs, p):
                 ok = False
                 break
         if not ok:

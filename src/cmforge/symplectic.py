@@ -828,7 +828,10 @@ def gsp_realization(point: CMPointData, morphism: TorusMorphism, x) -> GSpElemen
 
     Evaluates the character map on an exact point of the source field,
     reassembles one element per summand and returns the block multiplication
-    matrix together with its similitude factor.
+    matrix together with its similitude factor.  The realization layer
+    computes the same matrix in integer coordinates
+    (`cmforge.arith.CMContext.realize`); this cyclotomic path is the
+    reference its tests compare against.
     """
     if point.space is None:
         raise ValueError("the point has no matrix realization")

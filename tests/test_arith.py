@@ -7,10 +7,13 @@ j(2i) = 66^3 = 287496.  The sampled checks draw arrows whose validity
 and orbit keys go through residue valuations, so they guard that code.
 The realization maps are checked on sampled arrows: omega intertwines
 the two-sided unit translations, and theta's adjoint class survives a
-decomposition twist.
+decomposition twist.  The integer realization and congruence tests are
+checked against the rational-arithmetic rules they replaced.
 """
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,8 +34,9 @@ from cmforge.arith import (
     translate_shimura,
 )
 from cmforge.bc import build_params, sample_arrow, sample_unit_residue
+from cmforge.lattice import common_denominator, frac_inv
 from cmforge.modular import j_oracle
-from cmforge.symplectic import sample_integral_symplectic
+from cmforge.symplectic import gsp_realization, sample_integral_symplectic
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +117,118 @@ def test_theta_map_adjoint_class_and_base_point(context):
         alpha, _, z = shimura_base_point(context, idele)
         assert alpha == theta.alpha
         assert z == theta.z
+
+
+def _theta_parts(theta):
+    beta, group = theta.beta, theta.group
+    return (theta.alpha.matrix, [(p, beta.local_at(p).matrix) for p in beta.support],
+            beta.tail.matrix, theta.z,
+            [(p, group.local_at(p).matrix) for p in group.support], group.tail.matrix)
+
+
+# modulus -> SHA-256 of the omega_map unit parts and theta_map outputs
+# (alpha, beta locals and tail, z, group locals and tail) on seeded arrows
+REALIZATION_GOLDENS = {
+    3: "e2f64f8fe8849e63ab95338c33c05848cd4e32c134fb26a28c235be8fd1aaad0",
+    5: "4bcca4810b400eaaa4c26f6d568bc8b95c3727b1017c939e3d84aeaf821e4a3a",
+}
+
+
+@pytest.mark.parametrize("modulus", sorted(REALIZATION_GOLDENS))
+def test_realization_outputs_are_unchanged(modulus):
+    # a fresh context, twisted calls first: a twist that wrote to the
+    # per-level cache would move the untwisted outputs that follow
+    ctx = cm_context(build_params("Q(i)", (modulus, 0), 10))
+    rng = random.Random(100 + modulus)
+    arrows = [sample_arrow(ctx.params, rng) for _ in range(8)]
+    parts = []
+    for arrow in arrows[:4]:
+        delta = sample_integral_symplectic(ctx.space, rng)
+        parts.append(_theta_parts(theta_map(ctx, arrow, decomposition_twist=delta)))
+    for arrow in arrows:
+        parts.append(omega_map(ctx, arrow).unit_part.matrix)
+        parts.append(_theta_parts(theta_map(ctx, arrow)))
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == REALIZATION_GOLDENS[modulus]
+
+
+@pytest.mark.parametrize("modulus", [3, 5])
+def test_realize_matches_gsp_realization(modulus):
+    """The integer reflex-norm realization against the cyclotomic one.
+
+    Seeded Q(i) samples: unit residues mod M, every place generator and
+    random nonzero coordinates, each realized on a fresh context (so the
+    cache is cold) and by `gsp_realization` from its field element.  The
+    realization is multiplicative, and zero is refused on both paths.
+    Q(zeta5) is not reachable yet: `CMContext` refuses genus other than
+    one, so that case waits for genus two (ROADMAP item 6).
+    """
+    ctx = cm_context(build_params("Q(i)", (modulus, 0), 10))
+    params, ring = ctx.params, ctx.params.ring
+    rng = random.Random(modulus)
+    samples = [sample_unit_residue(params, rng) for _ in range(12)]
+    samples += [place.coords for place in params.places]
+    while len(samples) < 40:
+        coords = tuple(rng.randint(-20, 20) for _ in range(ring.degree))
+        if any(coords):
+            samples.append(coords)
+    for x in samples:
+        assert ctx.realize(x) == gsp_realization(ctx.point, ctx.phi, ring.from_coords(x))
+    for x, y in zip(samples, reversed(samples)):
+        xy = ring.times_rows(x, ring.coord_rows(y))
+        assert ctx.realize(x) * ctx.realize(y) == ctx.realize(xy)
+    zero = (0,) * ring.degree
+    with pytest.raises(ValueError):
+        ctx.realize(zero)
+    with pytest.raises(ValueError):
+        gsp_realization(ctx.point, ctx.phi, ring.from_coords(zero))
+
+
+def _congruent_by_fractions(ctx, m1, m2, p):
+    """The rational rule: difference columns in the ideal lattice basis of M
+    have p-integral coefficients."""
+    lattice = [[Fraction(x) for x in row] for row in ctx.params.residues.lattice.entries]
+    inverse = frac_inv(lattice)
+    d = len(inverse)
+    for j in range(d):
+        diff = [m1[i][j] - m2[i][j] for i in range(d)]
+        for col in range(d):
+            coeff = sum(diff[k] * inverse[k][col] for k in range(d))
+            if coeff and coeff.denominator % p == 0:
+                return False
+    return True
+
+
+def _over_one_denominator(rows):
+    den = common_denominator(rows)
+    return tuple(tuple(int(x * den) for x in row) for row in rows), den
+
+
+@pytest.mark.parametrize("modulus", [3, 4, 5])
+def test_columns_congruent_at_matches_fraction_rule(modulus):
+    # m2 = m1 - D, D's columns lattice vectors over a denominator that may
+    # hold p, and sometimes a unit of noise: both outcomes must occur
+    ctx = cm_context(build_params("Q(i)", (modulus, 0), 10))
+    lattice = ctx.params.residues.lattice.entries
+    d = len(lattice)
+    rng = random.Random(40 + modulus)
+    outcomes = set()
+    for p in ctx.prime_support:
+        for _ in range(60):
+            den1 = rng.choice([1, 2, 3, 5, 7, p, p * p])
+            m1 = [[Fraction(rng.randint(-30, 30), den1) for _ in range(d)] for _ in range(d)]
+            u = rng.choice([1, 3, 7, p, p * p])
+            columns = []
+            for _ in range(d):
+                c = [rng.randint(-4, 4) for _ in range(d)]
+                columns.append([Fraction(sum(c[k] * lattice[k][i] for k in range(d)), u)
+                                for i in range(d)])
+            m2 = [[m1[i][j] - columns[j][i] for j in range(d)] for i in range(d)]
+            if rng.random() < 0.3:
+                m2[rng.randrange(d)][rng.randrange(d)] += Fraction(1, rng.choice([1, p]))
+            expected = _congruent_by_fractions(ctx, m1, m2, p)
+            got = ctx.columns_congruent_at(
+                _over_one_denominator(m1), _over_one_denominator(m2), p)
+            assert got is expected
+            outcomes.add((p, expected))
+    assert outcomes == {(p, b) for p in ctx.prime_support for b in (True, False)}
