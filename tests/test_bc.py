@@ -22,6 +22,9 @@ from cmforge.bc import (
     Coefficient,
     GroupoidArrow,
     ResidueRing,
+    _ideal_norms_q,
+    _ideal_norms_qi,
+    _ideal_norms_sieve,
     _intersect_local,
     _prime_ideal_norms,
     _range_meets,
@@ -1261,3 +1264,54 @@ def test_partition_quintic_tail_domain():
     high = partition_function(params, 4, 200)
     assert high["tail_bound"] is not None
     assert abs(high["float"] - high["euler"]) <= high["tail_bound"]
+
+
+# SHA-256 of repr(sorted(report.items())) for each (beta, bound) in
+# PARTITION_CASES, recorded while the exact sum added one Fraction per ideal.
+PARTITION_CASES = ((2, 10), (2, 2000), (3, 200), (Fraction(5, 2), 200))
+PARTITION_GOLDENS = {
+    "Q": "a171bb494ac5329f71775dcd9bdb7cf99302e82127a4ca39e356a63e6845de1d",
+    "Q(i)": "ae666e09611b5cd2d5b3960dd166e10749b1927dfb7cd165d60d22e5c58131c8",
+    "Q(zeta5)": "086e5f6e3bb2e08cc839da861c4a203695079f5329dfd0e4ffac1a3bdc40f432",
+}
+PARTITION_MODULI = {"Q": (2,), "Q(i)": (3, 0), "Q(zeta5)": (2, 0, 0, 0)}
+
+
+@pytest.fixture(scope="module")
+def partition_levels():
+    return {name: build_params(name, m, 11, cap=1) for name, m in PARTITION_MODULI.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_GOLDENS))
+def test_partition_outputs_are_unchanged(name, partition_levels):
+    params = partition_levels[name]
+    reports = [
+        repr(sorted(partition_function(params, beta, bound).items()))
+        for beta, bound in PARTITION_CASES
+    ]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == PARTITION_GOLDENS[name]
+
+
+def _exact_sum_by_ideal(ring, k, bound):
+    """Oracle: sum 1/N(I)^k by one normalizing Fraction addition per ideal."""
+    if ring.name == "Q":
+        norms = _ideal_norms_q(bound)
+    elif ring.name == "Q(i)":
+        norms = _ideal_norms_qi(bound)
+    else:
+        counts = _ideal_norms_sieve(ring, bound)
+        norms = [n for n in range(1, bound + 1) for _ in range(counts[n])]
+    exact = Fraction(0)
+    for n in norms:
+        exact += Fraction(1, n ** k)
+    return exact
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_MODULI))
+def test_partition_exact_sum_matches_per_ideal_sum(name, partition_levels):
+    params = partition_levels[name]
+    for k in (2, 3, 4):
+        for bound in (2, 10, 97, 2000):
+            exact = partition_function(params, k, bound)["exact"]
+            assert type(exact) is Fraction
+            assert exact == _exact_sum_by_ideal(params.ring, k, bound)
