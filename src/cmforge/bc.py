@@ -27,6 +27,7 @@ is multiplication by cls(gamma)^{-1}.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -301,12 +302,23 @@ def _rational_primes(bound: int) -> List[int]:
 
 
 def _splitting_data(ring: RingData, p: int) -> Tuple[int, int]:
-    """Return (residue degree f, number of primes g) for p in the ring."""
+    """Return (residue degree f, number of primes g) for p in the ring.
+
+    A p dividing the conductor n ramifies totally when n is a power of p;
+    for any other n the part of n prime to p still splits p, which is not
+    handled, so ValueError is raised.
+    """
     n = ring.cyclo_n
     if n == 1:
         return 1, 1
     if n % p == 0:
-        # the ramified prime of a prime power cyclotomic field
+        rest = n
+        while rest % p == 0:
+            rest //= p
+        if rest != 1:
+            raise ValueError(
+                "no splitting data for p = %d dividing conductor %d, which is not a prime power"
+                % (p, n))
         return 1, 1
     f = 1
     power = p % n
@@ -367,7 +379,8 @@ def _lattice_shell(h: Sequence[Sequence[int]], height: int):
     return walk(0, [0] * d, False)
 
 
-def _prime_generators(ring: RingData, p: int, f: int) -> List[CyclotomicElement]:
+@lru_cache(maxsize=None)
+def _prime_generators(ring: RingData, p: int, f: int) -> Tuple[CyclotomicElement, ...]:
     """Canonical generators of the primes above p, each of norm p**f.
 
     Every prime is built as (p, h(zeta)) from an irreducible factor h of
@@ -383,9 +396,14 @@ def _prime_generators(ring: RingData, p: int, f: int) -> List[CyclotomicElement]
     number one makes every ideal principal, so the walk always ends and
     no bound limit remains.  Over Q the generator is p itself.  The
     primes are listed in the order of their first points.
+
+    The result is cached per (ring, p, f).  That is sound because it is a
+    function of the ideals above p alone, and so of its arguments: windows
+    at every bound and the modulus primes share it, and `builtin_ring`
+    hands out one immutable RingData per field.
     """
     if ring.cyclo_n == 1:
-        return [ring.from_coords((p,))]
+        return (ring.from_coords((p,)),)
     d = ring.degree
     target = p ** f
     phi = cyclotomic_polynomial(ring.cyclo_n)
@@ -402,10 +420,10 @@ def _prime_generators(ring: RingData, p: int, f: int) -> List[CyclotomicElement]
             if abs(IntMatrix(ring.coord_rows(x)).determinant()) == target
         ))
     torsion = [ring.coord_rows(ring.coords(u)) for u in ring.torsion_units()]
-    return [
+    return tuple(
         ring.from_coords(max(ring.times_rows(x, rows) for rows in torsion))
         for _, x in sorted(firsts)
-    ]
+    )
 
 
 def prime_window(ring: RingData, bound: int) -> List[PrimeData]:
@@ -543,6 +561,13 @@ class FiniteLevelParams:
 
     def __init__(self, field: str, modulus_coords, bound: int, cap: int):
         self.ring = ring = builtin_ring(field)
+        try:
+            modulus_coords = tuple(modulus_coords)
+        except TypeError:
+            raise ValueError(
+                "modulus must be a coordinate tuple of length %d, such as %r, not %r"
+                % (ring.degree, (modulus_coords,) + (0,) * (ring.degree - 1), modulus_coords)
+            ) from None
         self.modulus = ring.from_coords(modulus_coords)
         if self.modulus.is_zero():
             raise ValueError("modulus must be nonzero")
@@ -1529,8 +1554,15 @@ def partition_function(
     Enumeration is per ideal: integers for Q, one quadrant representative
     per Gaussian ideal, and a multiplicative sieve over the prime ideal
     norms for the quartic field (there the two methods share the prime
-    list, which is recorded in the report).  The exact rational sum is
-    formed only for integer beta and norms up to 2000.
+    list, which is recorded in the report).  The float sum adds the terms
+    in enumeration order and the Euler product multiplies its factors in
+    prime order, so both floats depend on these orders alone.
+
+    The exact rational sum is formed only for integer beta = k and norms
+    up to 2000.  Every norm n <= bound divides L = lcm(1, ..., bound), the
+    product of the largest powers p^e <= bound, so the sum is one Fraction
+    over D = L^k: the numerator is the sum of c_n * (D // n^k) over the
+    distinct norms n with c_n ideals each, and Fraction reduces it once.
     """
     beta_f = Fraction(beta)
     if beta_f <= 1:
@@ -1553,9 +1585,15 @@ def partition_function(
     exact = None
     if bound <= 2000 and beta_f.denominator == 1:
         k = int(beta_f)
-        exact = Fraction(0)
-        for n in norms:
-            exact += Fraction(1, n ** k)
+        lcm = 1
+        for p in _rational_primes(bound):
+            power = p
+            while power * p <= bound:
+                power *= p
+            lcm *= power
+        den = lcm ** k
+        counts = collections.Counter(norms)
+        exact = Fraction(sum(c * (den // n ** k) for n, c in counts.items()), den)
     euler = 1.0
     for q in _prime_ideal_norms(params.ring, bound):
         euler *= 1.0 / (1.0 - float(q) ** (-float_beta))

@@ -557,7 +557,9 @@ def realize_on_point(f: TorusMorphism, a: CyclotomicElement):
 
     The source and target tori must come from fields of one cyclotomic
     scenario; the result is the tuple of values of the image under every
-    target embedding, each an exact cyclotomic number.
+    target embedding, each an exact cyclotomic number.  No library path
+    calls it outside the reference `symplectic.gsp_realization`: it is a
+    test oracle for the integer realization in `cmforge.arith`.
     """
     n = cyclotomic_level(f.source.scenario)
     src = [int(min(c, key=f.source.scenario.elements.index)) for c in f.source.basis_labels]
@@ -590,7 +592,8 @@ def reflex_determinant_oracle(t: CMType, a: CyclotomicElement) -> CyclotomicElem
     field, with the CM field acting on the phi-component through phi and
     the reflex field acting by plain multiplication.  This computes honest
     coordinates with Galois arithmetic and a Gaussian determinant over the
-    field, never consulting the character-lattice solve.
+    field, never consulting the character-lattice solve.  It is a test
+    oracle for the reflex norm: no library path calls it.
     """
     E = t.field
     s = E.scenario

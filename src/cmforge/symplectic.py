@@ -795,7 +795,11 @@ def character_map_report(K: FieldHandle, point: CMPointData) -> dict:
 
 
 def element_from_embedding_values(field: FieldHandle, values):
-    """Reconstruct a field element from its tuple of embedding images."""
+    """Reconstruct a field element from its tuple of embedding images.
+
+    No library path calls it outside the reference `gsp_realization`: it
+    is a test oracle, checked against the embeddings of known elements.
+    """
     n = cyclotomic_level(field.scenario)
     basis = fixed_integral_basis(field)
     order = field.scenario.elements.index

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from cmforge.bc import (
     _ideal_norms_qi,
     _ideal_norms_sieve,
     _intersect_local,
+    _prime_generators,
     _prime_ideal_norms,
     _range_meets,
     _rational_primes,
@@ -211,6 +213,40 @@ def test_modulus_prime_in_window_is_not_repeated():
 
 
 @pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(zeta5)"])
+def test_prime_generators_are_cached_per_prime(name):
+    ring = builtin_ring(name)
+    for p in _rational_primes(200):
+        f, _ = _splitting_data(ring, p)
+        cached = _prime_generators(ring, p, f)
+        assert type(cached) is tuple
+        assert cached == tuple(_prime_generators.__wrapped__(ring, p, f))
+        assert _prime_generators(ring, p, f) is cached
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(zeta5)"])
+def test_windows_share_generators_in_either_order(name):
+    ring = builtin_ring(name)
+    _prime_generators.cache_clear()
+    small_first = _generator_list(prime_window(ring, 50))
+    large = _generator_list(prime_window(ring, 200))
+    _prime_generators.cache_clear()
+    large_first = _generator_list(prime_window(ring, 200))
+    small = _generator_list(prime_window(ring, 50))
+    assert large_first == large
+    assert small == small_first == [(norm, x) for norm, x in large if norm <= 50]
+
+
+def test_splitting_data_refuses_composite_conductor():
+    # the part of 12 prime to p splits p, which the (1, 1) answer ignores
+    ring12 = types.SimpleNamespace(cyclo_n=12, degree=4)
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="not a prime power"):
+            _splitting_data(ring12, p)
+    assert _splitting_data(ring12, 5) == (2, 2)
+    assert _splitting_data(ring12, 13) == (1, 4)
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(zeta5)"])
 def test_prime_window_against_sympy(windows_1000, name):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -251,6 +287,13 @@ def test_parameter_validation():
         build_params("Q", (2,), 3, cap=0)
     with pytest.raises(ValueError):
         build_params("Q", (Fraction(1, 2),), 3, cap=1)
+
+
+def test_bare_integer_modulus_names_the_tuple():
+    with pytest.raises(ValueError, match=r"such as \(3, 0\)"):
+        build_params("Q(i)", 3, 10)
+    with pytest.raises(ValueError, match=r"such as \(2,\)"):
+        build_params("Q", 2, 10)
 
 
 def test_working_modulus_sizes(params_q, params_qi):
