@@ -219,7 +219,7 @@ def test_prime_generators_are_cached_per_prime(name):
         f, _ = _splitting_data(ring, p)
         cached = _prime_generators(ring, p, f)
         assert type(cached) is tuple
-        assert cached == tuple(_prime_generators.__wrapped__(ring, p, f))
+        assert cached == _prime_generators.__wrapped__(ring, p, f)
         assert _prime_generators(ring, p, f) is cached
 
 
