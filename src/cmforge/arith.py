@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bc import FiniteLevelParams, GroupoidArrow, sample_arrow
 from .cyclotomic import CyclotomicElement
-from .galois import FieldHandle, builtin_scenario
+from .galois import FieldHandle, cyclotomic_scenario
 from .lattice import IntMatrix, hermite_normal_form, hnf_reduce, int_matmul, vstack
 from .modular import (
     HalfPlanePoint,
@@ -84,20 +84,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# purely imaginary generator, by conductor, whose trace pairing is already the
+# standard J on the integral basis, so no rescaling step is needed
 _STANDARD_GENERATORS = {
-    # purely imaginary generator whose trace pairing is already the
-    # standard J on the integral basis, so no rescaling step is needed
-    4: (Fraction(1, 2),),
+    4: (0, Fraction(1, 2)),  # i/2
 }
-
-
-def _standard_generator(cyclo_n: int) -> Optional[CyclotomicElement]:
-    scales = _STANDARD_GENERATORS.get(cyclo_n)
-    if scales is None:
-        return None
-    coeffs = [Fraction(0)] * len(CyclotomicElement.one(cyclo_n).coeffs)
-    coeffs[1] = scales[0]
-    return CyclotomicElement(cyclo_n, tuple(coeffs))
 
 
 class CMContext:
@@ -263,23 +254,22 @@ class CMContext:
 def cm_context(params: FiniteLevelParams, *, generators=None) -> CMContext:
     """Build the realization context for the field of a parameter set.
 
-    Only fields with a genus one symplectic realization in standard form
-    are supported; for Q(i) the generator i/2 is filled in automatically.
+    The field is Q(zeta_n) in `galois.cyclotomic_scenario(n)`, n the
+    conductor of ``params.ring``.  Only fields with a genus one symplectic
+    realization in standard form are supported; the generator is taken
+    from the table of standard generators by conductor (i/2 for Q(i))
+    unless ``generators`` are passed.
     """
-    ring = params.ring
-    if ring.cyclo_n <= 2:
+    n = params.ring.cyclo_n
+    if n <= 2:
         raise ValueError("the rational field has no symplectic realization")
-    scenario = builtin_scenario("qi" if ring.cyclo_n == 4 else "zeta5")
-    name = "Q(zeta_%d)" % ring.cyclo_n
-    field = scenario.field(scenario.named_fields[name], name=name)
+    field = cyclotomic_scenario(n).named("Q(zeta_%d)" % n)
     if generators is None:
-        gen = _standard_generator(ring.cyclo_n)
-        if gen is None:
+        if n not in _STANDARD_GENERATORS:
             raise ValueError(
-                "no standard generator is on file for conductor %d; pass one"
-                % ring.cyclo_n
+                "no standard generator is on file for conductor %d; pass one" % n
             )
-        generators = [gen]
+        generators = [CyclotomicElement(n, _STANDARD_GENERATORS[n])]
     point = build_cm_point(field, generators=generators)
     phi = phi_morphism(field, point)
     return CMContext(params, field, point, phi)
@@ -457,9 +447,6 @@ class ThetaData:
         self.z = z
         self.level = level
 
-    def is_unit_monoid(self) -> bool:
-        return self.context.params.residues.is_unit(self.rho)
-
     def monoid_matrix_at(self, p: int):
         """The realized monoid coordinate at one prime, beta times rho.
 
@@ -622,10 +609,13 @@ class ArithmeticElement:
         self.twist = twist
 
     def value(self, arrow: GroupoidArrow) -> OracleValue:
-        theta = theta_map(self.context, arrow)
-        if not theta.is_unit_monoid():
+        params = self.context.params
+        if arrow.params is not params:
+            raise ValueError("arrow belongs to a different parameter set")
+        # the support is read off rho, which theta_map passes through unchanged
+        if not params.residues.is_unit(arrow.rho):
             return OracleValue(0j, 0.0)
-        z = theta.z
+        z = theta_map(self.context, arrow).z
         if self.twist is not None:
             z = mobius_transform(self.twist, z)
         try:

@@ -148,39 +148,27 @@ class RingData:
         return IntMatrix(self.coord_rows(self.coords(element)))
 
 
+# canonical name -> (conductor, declared unit generators, their orders (None
+# for infinite order), accepted spellings, matched in lower case)
 _BUILTIN_RINGS = {
-    "Q": dict(cyclo_n=1, unit_gen_coords=(), unit_orders=()),
-    "Q(i)": dict(cyclo_n=4, unit_gen_coords=((0, 1),), unit_orders=(4,)),
-    "Q(zeta5)": dict(
-        cyclo_n=5,
-        unit_gen_coords=((0, 1, 0, 0), (1, 1, 0, 0)),
-        unit_orders=(5, None),
-    ),
+    "Q": (1, (), (), ("q",)),
+    "Q(i)": (4, ((0, 1),), (4,), ("q(i)", "qi")),
+    "Q(zeta5)": (5, ((0, 1, 0, 0), (1, 1, 0, 0)), (5, None), ("q(zeta5)", "qzeta5", "zeta5")),
 }
-
-_RING_ALIASES = {
-    "q": "Q",
-    "qi": "Q(i)",
-    "q(i)": "Q(i)",
-    "qzeta5": "Q(zeta5)",
-    "q(zeta5)": "Q(zeta5)",
-    "zeta5": "Q(zeta5)",
-}
-
-
-def builtin_ring(name: str) -> RingData:
-    """The one RingData of a builtin field, built and verified on first use."""
-    key = _RING_ALIASES.get(name.lower(), name)
-    if key not in _BUILTIN_RINGS:
-        raise ValueError(
-            "unknown field %r, builtins are %s" % (name, sorted(_BUILTIN_RINGS))
-        )
-    return _builtin_ring(key)
 
 
 @lru_cache(maxsize=None)
-def _builtin_ring(key: str) -> RingData:
-    return RingData(key, **_BUILTIN_RINGS[key])
+def builtin_ring(name: str) -> RingData:
+    """The one RingData of a builtin field, built and verified on first use.
+
+    Every accepted spelling resolves to the instance of the canonical name.
+    """
+    for canonical, (conductor, gen_coords, orders, spellings) in _BUILTIN_RINGS.items():
+        if name == canonical:
+            return RingData(name, conductor, gen_coords, orders)
+        if name.lower() in spellings:
+            return builtin_ring(canonical)
+    raise ValueError("unknown field %r, builtins are %s" % (name, sorted(_BUILTIN_RINGS)))
 
 
 # -- Residue rings ----------------------------------------------------------------

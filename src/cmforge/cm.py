@@ -15,7 +15,6 @@ the lattice solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .cyclotomic import CyclotomicElement, matrix_determinant
 from .galois import (
@@ -531,14 +530,15 @@ def serre_property_suite(K: FieldHandle, cm_type: CMType | None = None, tau=None
 
 
 def cyclotomic_level(scenario) -> int:
-    """Modulus n for scenarios realized on the n-th cyclotomic field."""
-    name = scenario.name or ""
-    if not name.startswith("cyclotomic-"):
+    """Modulus n for scenarios realized on the n-th cyclotomic field.
+
+    n is ``scenario.conductor``, which only `galois.cyclotomic_scenario`
+    sets (and `galois.load_scenario` through it); the scenario's name is
+    not read.
+    """
+    if scenario.conductor is None:
         raise ValueError("scenario has no cyclotomic realization")
-    n = int(name.split("-", 1)[1])
-    if set(scenario.elements) != {str(k) for k in range(1, n) if gcd(k, n) == 1}:
-        raise ValueError("scenario labels do not match the residues mod n")
-    return n
+    return scenario.conductor
 
 
 def _embedding_exponents(field: FieldHandle, n: int):

@@ -25,12 +25,15 @@ class GaloisScenario:
     ``table`` maps pairs of element labels to product labels.  Element
     labels are strings; ``named_fields`` maps field names to subgroups
     (frozensets of labels).  The ambient field L corresponds to the trivial
-    subgroup and Q to the full group.
+    subgroup and Q to the full group.  ``conductor`` is n on the scenario of
+    the n-th cyclotomic field, set by `cyclotomic_scenario` alone, and None
+    on every other scenario; the name is only a label.
     """
 
     def __init__(self, elements, table, iota, named_fields=None, name=""):
         self.elements = tuple(elements)
         self.name = name
+        self.conductor = None
         self._index = {g: i for i, g in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate element labels")
@@ -350,7 +353,9 @@ def cyclotomic_scenario(n: int) -> GaloisScenario:
         f"Q(zeta_{n})": frozenset({"1"}),
         "Q": frozenset(elements),
     }
-    return GaloisScenario(elements, table, str(n - 1), named, name=f"cyclotomic-{n}")
+    scenario = GaloisScenario(elements, table, str(n - 1), named, name=f"cyclotomic-{n}")
+    scenario.conductor = n
+    return scenario
 
 
 def c2_s3_scenario() -> GaloisScenario:

@@ -631,7 +631,9 @@ def build_cm_point(E: FieldHandle, *, generators=None) -> CMPointData:
     Candidates are primitive CM types on CM fields of the scenario whose
     reflex field lands inside E; the first singleton making the universal
     composite injective wins.  The search order is deterministic, so the
-    same field always produces the same point.
+    same field always produces the same point.  The symplectic ``space``
+    is built only when the scenario has a conductor, that is a cyclotomic
+    realization; otherwise it is None.
     """
     ok, _ = is_cm(E)
     if not ok:
@@ -686,7 +688,7 @@ def build_cm_point(E: FieldHandle, *, generators=None) -> CMPointData:
     if not injection.is_injective():
         raise AssertionError("assembled injection lost injectivity")
     space = None
-    if (s.name or "").startswith("cyclotomic-"):
+    if s.conductor is not None:
         space = build_symplectic_space(
             [tt.field for tt in types], generators=generators
         )

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from cmforge import arith
 from cmforge.arith import (
     adjoint_equivalent,
     arithmetic_element,
@@ -34,6 +35,8 @@ from cmforge.arith import (
     translate_shimura,
 )
 from cmforge.bc import build_params, sample_arrow, sample_unit_residue
+from cmforge.cm import cyclotomic_level
+from cmforge.galois import c2_s3_scenario, cyclotomic_scenario, d4_scenario, load_scenario
 from cmforge.lattice import common_denominator, frac_inv
 from cmforge.modular import j_oracle
 from cmforge.symplectic import gsp_realization, sample_integral_symplectic
@@ -62,6 +65,45 @@ def test_sampled_checks_hold(context):
     assert gamma_invariance_check(element, random.Random(6), samples=30) == {
         "holds": True, "samples": 30,
     }
+
+
+def test_value_refuses_off_support_arrows_before_theta_map(context, monkeypatch):
+    def no_theta_map(*args, **kwargs):
+        raise AssertionError("theta_map ran")
+
+    monkeypatch.setattr(arith, "theta_map", no_theta_map)
+    element = arithmetic_element(context, j_oracle())
+    rng = random.Random(5)
+    arrows = [sample_arrow(context.params, rng) for _ in range(10)]
+    off_support = [a for a in arrows if not context.params.residues.is_unit(a.rho)]
+    assert off_support
+    for arrow in off_support:
+        assert element.value(arrow) == (0j, 0.0)
+    foreign = sample_arrow(build_params("Q(i)", (3, 0), 10), random.Random(5))
+    with pytest.raises(ValueError, match="different parameter set"):
+        element.value(foreign)
+
+
+def test_cm_context_refusals():
+    with pytest.raises(ValueError, match="rational field"):
+        cm_context(build_params("Q", (2,), 5))
+    with pytest.raises(ValueError, match="conductor 5"):
+        cm_context(build_params("Q(zeta5)", (2, 0, 0, 0), 11))
+
+
+def test_cyclotomic_level_reads_the_conductor():
+    for scenario in (c2_s3_scenario(), d4_scenario()):
+        with pytest.raises(ValueError, match="no cyclotomic realization"):
+            cyclotomic_level(scenario)
+    assert load_scenario({"cyclotomic_n": 7}).conductor == 7
+    assert cyclotomic_level(load_scenario({"cyclotomic_n": 7})) == 7
+    # a hand-written table is not cyclotomic, whatever its name says
+    z5 = cyclotomic_scenario(5)
+    table = {f"{a},{b}": z5.multiply(a, b) for a in z5.elements for b in z5.elements}
+    copy = load_scenario({"group_table": table, "iota": "4", "name": "cyclotomic-5"})
+    assert copy.conductor is None
+    with pytest.raises(ValueError, match="no cyclotomic realization"):
+        cyclotomic_level(copy)
 
 
 def test_criterion_full_group_holds(context):

@@ -99,6 +99,24 @@ def test_builtin_rings_and_aliases():
         builtin_ring("Q(sqrt2)")
 
 
+SPELLINGS = {
+    "Q": ("Q", "q"),
+    "Q(i)": ("Q(i)", "q(i)", "qi"),
+    "Q(zeta5)": ("Q(zeta5)", "q(zeta5)", "qzeta5", "zeta5"),
+}
+
+
+@pytest.mark.parametrize("spelling,canonical", [
+    (form, canonical)
+    for canonical, spellings in SPELLINGS.items()
+    for spelling in spellings
+    for form in (spelling, spelling.upper())
+])
+def test_every_spelling_names_one_ring(spelling, canonical):
+    assert builtin_ring(spelling) is builtin_ring(canonical)
+    assert builtin_ring(spelling).name == canonical
+
+
 def test_builtin_ring_is_built_once():
     ring = builtin_ring("Q(i)")
     assert builtin_ring("qi") is ring

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cmforge.galois import (
+    BUILTIN_SCENARIOS,
     FieldHandle,
     builtin_scenario,
     c2_s3_scenario,
@@ -177,3 +178,17 @@ def test_builtin_registry():
     assert builtin_scenario("cyclotomic-12").order == 4
     with pytest.raises(KeyError):
         builtin_scenario("nope")
+
+
+BUILTIN_ORDERS = {
+    "qi": 2, "zeta5": 4, "qzeta5": 4, "c2xs3": 12, "qi-cbrt2": 12, "d4": 8, "cyclotomic-7": 6,
+}
+
+
+def test_builtin_orders_cover_every_key():
+    assert set(BUILTIN_ORDERS) == set(BUILTIN_SCENARIOS) | {"cyclotomic-7"}
+
+
+@pytest.mark.parametrize("key", sorted(BUILTIN_ORDERS))
+def test_every_builtin_key_builds_its_group(key):
+    assert builtin_scenario(key).order == BUILTIN_ORDERS[key]

@@ -2,8 +2,9 @@
 
 Bare ``assert`` statements vanish under -O, so every correctness check in
 ``cmforge`` is an explicit ``raise``, and a ``python -O`` run checks that
-the checks still fire.  Every console script declared in pyproject.toml
-must point at a function that exists.
+the checks still fire.  No module keeps a top-level import it never reads
+(no linter runs in CI, so this test stands in for one).  Every console
+script declared in pyproject.toml must point at a function that exists.
 """
 
 import ast
@@ -27,6 +28,29 @@ def test_library_has_no_bare_asserts():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _unused_imports(tree):
+    """(name, line) of every top-level import whose name is never read."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in imported.items() if name not in read]
+
+
+def test_library_has_no_unused_imports():
+    found = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in SOURCES
+        for name, line in _unused_imports(ast.parse(path.read_text()))
     ]
     assert found == []
 
