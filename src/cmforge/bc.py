@@ -30,6 +30,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -542,10 +543,16 @@ class FiniteLevelParams:
     modulo P^(v_P(m)).  As c is v_P(m) plus the cap at window primes and
     v_P(m) elsewhere, that takes v_P(m) >= 2 and v above the cap, or v >= 1
     at a place outside the window.
+
+    Two caches fill on first use and hold one entry per key seen, so each
+    is bounded by the masks or patterns met so far: `_stab_cache` maps an
+    exact mask (one flag per place) to its coset table, and
+    `_anchor_cache` maps a valuation pattern (one local class per place)
+    to the anchor data of `orbit_key`.
     """
 
     __slots__ = ("ring", "modulus", "bound", "cap", "primes", "places",
-                 "shimura", "working_modulus", "residues", "_stab_cache")
+                 "shimura", "working_modulus", "residues", "_stab_cache", "_anchor_cache")
 
     def __init__(self, field: str, modulus_coords, bound: int, cap: int):
         self.ring = ring = builtin_ring(field)
@@ -594,6 +601,7 @@ class FiniteLevelParams:
             if place.m_valuation == 0:
                 place.class_label = self.shimura.class_of(place.coords)
         self._stab_cache = {}
+        self._anchor_cache = {}
 
     def _modulus_only_primes(self, window: Sequence[PrimeData], m, norm: int) -> List[PrimeData]:
         """The primes dividing m (coordinates m, norm N(m)) outside the window."""
@@ -742,6 +750,46 @@ class FiniteLevelParams:
         if sum(len(piece) for piece in pieces) != len(distinct):
             raise AssertionError("coset is not saturated under the stabilizer")
         return pieces
+
+    def _anchor_form(self, pattern):
+        """The data `GroupoidArrow.orbit_key` needs of a valuation pattern.
+
+        Returns (h, u, exact_is_one, e).  U·B = H is the Hermite form of B,
+        the multiplication rows of the anchor stacked on the working
+        lattice, and u keeps the first d columns of U, so a residue rho =
+        y·H gives the anchor coefficient y·u.  exact_is_one says whether
+        the exact part E is 1 in O/m, and e is the CRT idempotent (0 mod E,
+        1 mod T), or None unless both parts are nontrivial.
+        """
+        form = self._anchor_cache.get(pattern)
+        if form is not None:
+            return form
+        ring = self.ring
+        residues = self.residues
+        ring_mod = self.shimura.residues
+        anchor = residues.one()
+        exact_part = top_part = ring_mod.one()
+        for (kind, v), place in zip(pattern, self.places):
+            if v:
+                anchor = residues.mul(anchor, residues.power(place.coords, v))
+            if place.m_valuation:
+                local = ring_mod.power(place.coords, place.m_valuation)
+                if kind == EXACT:
+                    exact_part = ring_mod.mul(exact_part, local)
+                else:
+                    top_part = ring_mod.mul(top_part, local)
+        h, u = hermite_normal_form(vstack(IntMatrix(ring.coord_rows(anchor)), residues.lattice))
+        u = IntMatrix([row[: ring.degree] for row in u.entries])
+        exact_is_one = exact_part == ring_mod.one()
+        e = None
+        if not exact_is_one and top_part != ring_mod.one():
+            rows = [IntMatrix(ring.coord_rows(x)) for x in (exact_part, top_part)]
+            bez = solve_int_rowspan(vstack(*rows, ring_mod.lattice), ring_mod.one())
+            if bez is None:
+                raise AssertionError("exact and TOP parts are not coprime")
+            e = ring_mod.mul(bez[: ring.degree], exact_part)
+        form = self._anchor_cache[pattern] = (h, u, exact_is_one, e)
+        return form
 
 
 def build_params(field: str, modulus_coords, bound: int, cap: int = 1) -> FiniteLevelParams:
@@ -1114,7 +1162,25 @@ def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
     which is `_intersect_local(...) is not None` because keys keep every
     v >= 0.  The right-hand terms that meet each distinct left-hand
     ``locals`` are listed once, in f2 order, so the output keys are
-    inserted in the order of the plain all-pairs loop.
+    inserted in the order of the plain all-pairs loop.  With each of them
+    go the composite local classes, which depend only on that ``locals``
+    and the right-hand key, and the coset table of their exact mask.
+
+    Composite keys are built directly, because `make_key` would return
+    them unchanged when both factors are canonical keys:
+
+    * the exponent sum is zero at the modulus-only places, as both
+      summands are, so padding it changes nothing;
+    * a TOP class arises only from two TOP classes, and its floor
+      max(v1 - e2, 0, v2) is already >= -(e1 + e2), because k1 is
+      normalized (v1 >= -e1); an EXACT class keeps v >= -(e1 + e2) by the
+      same bound;
+    * each coset is taken from the coset table of the composite's own
+      mask, so it is already saturated.
+
+    Saturation and validity are still checked inline: the coset sizes
+    must add up to the meet, and every composite class must have v >= 0
+    and v >= -e.
     """
     if f1.params is not f2.params:
         raise ValueError("elements live over different parameters")
@@ -1126,34 +1192,40 @@ def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
         right.append((k2, c2, params.class_of_exponents(k2.exponents), set(k2.wcoset)))
         ranges = tuple((kind, s + v) for (kind, v), s in zip(k2.locals, k2.exponents))
         groups.setdefault(ranges, []).append(j)
-    partners: Dict[Tuple, List[int]] = {}
+    partners: Dict[Tuple, List[Tuple]] = {}
     out: Dict[OrbitKey, Coefficient] = {}
     for k1, c1 in f1.terms.items():
         hits = partners.get(k1.locals)
         if hits is None:
-            hits = sorted(
+            hits = []
+            for j in sorted(
                 j for ranges, members in groups.items()
                 if all(map(_range_meets, k1.locals, ranges))
                 for j in members
-            )
+            ):
+                k2 = right[j][0]
+                locals_out = tuple(map(_intersect_local, k1.locals, k2.locals, k2.exponents))
+                floors = tuple(v for _, v in locals_out)
+                table = params._coset_table(_exact_mask(locals_out))
+                hits.append(right[j] + (locals_out, floors, table))
             partners[k1.locals] = hits
         shifted: Dict[str, set] = {}
-        for j in hits:
-            k2, c2, shift_cls, target = right[j]
+        for k2, c2, shift_cls, target, locals_out, floors, table in hits:
             moved = shifted.get(shift_cls)
             if moved is None:
                 moved = shifted[shift_cls] = {mult(w, shift_cls) for w in k1.wcoset}
             meet = moved & target
             if not meet:
                 continue
-            locals_out = tuple(map(_intersect_local, k1.locals, k2.locals, k2.exponents))
-            exponents = tuple(a + b for a, b in zip(k1.exponents, k2.exponents))
-            mask = _exact_mask(locals_out)
+            cosets = sorted({table[w] for w in meet})
+            if sum(map(len, cosets)) != len(meet):
+                raise AssertionError("coset is not saturated under the stabilizer")
+            exponents = tuple(map(operator.add, k1.exponents, k2.exponents))
+            if min(floors) < 0 or min(map(operator.add, exponents, floors)) < 0:
+                raise AssertionError("composite key lost validity")
             product = c1 * c2
-            for coset in params.split_coset(tuple(sorted(meet)), mask):
-                key = make_key(params, exponents, locals_out, coset)
-                if key is None:
-                    raise AssertionError("composite key lost validity")
+            for coset in cosets:
+                key = OrbitKey(exponents, locals_out, coset)
                 prev = out.get(key)
                 out[key] = product if prev is None else prev + product
     return AlgebraElement(params, out)
@@ -1305,39 +1377,27 @@ class GroupoidArrow:
         and gamma = gamma0 + e (1 - gamma0).  As m = E T up to a unit, e is
         unique mod m (CRT), so the key does not depend on the solutions
         picked.
+
+        Everything but rho here depends on the valuation pattern alone, so
+        it is cached per pattern on the parameters (see `_anchor_form`):
+        the Hermite form the solve reduces against, whether E is 1, and e.
+        Each call reduces rho against that form, which finds the same
+        solutions as a fresh solve, so the argument above still holds.
         """
         params = self.params
-        ring = params.ring
-        residues = params.residues
         ring_mod = params.shimura.residues
         pattern = self.valuation_pattern()
-        anchor = residues.one()
-        exact_part = top_part = ring_mod.one()
-        for (kind, v), place in zip(pattern, params.places):
-            if v:
-                anchor = residues.mul(anchor, residues.power(place.coords, v))
-            if place.m_valuation:
-                local = ring_mod.power(place.coords, place.m_valuation)
-                if kind == EXACT:
-                    exact_part = ring_mod.mul(exact_part, local)
-                else:
-                    top_part = ring_mod.mul(top_part, local)
-        combo = solve_int_rowspan(
-            vstack(IntMatrix(ring.coord_rows(anchor)), residues.lattice), self.rho
-        )
-        if combo is None:
+        h, u, exact_is_one, e = params._anchor_form(pattern)
+        q, r = hnf_reduce(h, self.rho)
+        if any(r):
             raise AssertionError("anchored residue solve failed")
-        gamma = ring_mod.reduce(combo[: ring.degree])
-        if exact_part == ring_mod.one():
+        if exact_is_one:
             gamma = ring_mod.one()
-        elif top_part != ring_mod.one():
-            rows = [IntMatrix(ring.coord_rows(x)) for x in (exact_part, top_part)]
-            bez = solve_int_rowspan(vstack(*rows, ring_mod.lattice), ring_mod.one())
-            if bez is None:
-                raise AssertionError("exact and TOP parts are not coprime")
-            e = ring_mod.mul(bez[: ring.degree], exact_part)
-            one_minus_gamma = [a - b for a, b in zip(ring_mod.one(), gamma)]
-            gamma = ring_mod.add(gamma, ring_mod.mul(e, one_minus_gamma))
+        else:
+            gamma = ring_mod.reduce(u.act_on_row(q))
+            if e is not None:
+                one_minus_gamma = [a - b for a, b in zip(ring_mod.one(), gamma)]
+                gamma = ring_mod.add(gamma, ring_mod.mul(e, one_minus_gamma))
         if not ring_mod.is_unit(gamma):
             raise AssertionError("anchor transporter is not a unit")
         gamma_cls = params.shimura.class_of(gamma)
@@ -1539,11 +1599,13 @@ def partition_function(
 ) -> Dict[str, object]:
     """Truncated Dedekind zeta value by direct enumeration and Euler product.
 
-    Enumeration is per ideal: integers for Q, one quadrant representative
-    per Gaussian ideal, and a multiplicative sieve over the prime ideal
-    norms for the quartic field (there the two methods share the prime
-    list, which is recorded in the report).  The float sum adds the terms
-    in enumeration order and the Euler product multiplies its factors in
+    Enumeration is per ideal for Q (the integers) and for Q(i) (one
+    quadrant representative per Gaussian ideal).  For the quartic field a
+    multiplicative sieve over the prime ideal norms gives the count c_n of
+    ideals of each norm n, and the float sum adds the term of n c_n times,
+    norms in increasing order; there the two methods share the prime list,
+    which is recorded in the report.  The float sum adds the terms in
+    enumeration order and the Euler product multiplies its factors in
     prime order, so both floats depend on these orders alone.
 
     The exact rational sum is formed only for integer beta = k and norms
@@ -1556,20 +1618,22 @@ def partition_function(
     if beta_f <= 1:
         raise ValueError("the partition function requires beta > 1")
     name = params.ring.name
-    if name == "Q":
-        norms = list(_ideal_norms_q(bound))
-        independent = True
-    elif name == "Q(i)":
-        norms = list(_ideal_norms_qi(bound))
+    float_beta = float(beta_f)
+    total = 0.0
+    if name in ("Q", "Q(i)"):
+        norms = list(_ideal_norms_q(bound) if name == "Q" else _ideal_norms_qi(bound))
+        for n in norms:
+            total += float(n) ** (-float_beta)
+        counted = collections.Counter(norms).items()
         independent = True
     else:
         counts = _ideal_norms_sieve(params.ring, bound)
-        norms = [n for n in range(1, bound + 1) for _ in range(counts[n])]
+        counted = [(n, c) for n, c in enumerate(counts) if c]
+        for n, c in counted:
+            term = float(n) ** (-float_beta)
+            for _ in range(c):
+                total += term
         independent = False
-    float_beta = float(beta_f)
-    total = 0.0
-    for n in norms:
-        total += float(n) ** (-float_beta)
     exact = None
     if bound <= 2000 and beta_f.denominator == 1:
         k = int(beta_f)
@@ -1580,8 +1644,7 @@ def partition_function(
                 power *= p
             lcm *= power
         den = lcm ** k
-        counts = collections.Counter(norms)
-        exact = Fraction(sum(c * (den // n ** k) for n, c in counts.items()), den)
+        exact = Fraction(sum(c * (den // n ** k) for n, c in counted), den)
     euler = 1.0
     for q in _prime_ideal_norms(params.ring, bound):
         euler *= 1.0 / (1.0 - float(q) ** (-float_beta))
@@ -1591,6 +1654,6 @@ def partition_function(
         "euler": euler,
         "tail_bound": partition_tail_bound(params, beta_f, bound),
         "reference": partition_reference(params, beta_f),
-        "ideal_count": len(norms),
+        "ideal_count": sum(c for _, c in counted),
         "methods_independent": independent,
     }

@@ -22,6 +22,7 @@ from cmforge.bc import (
     AlgebraElement,
     Coefficient,
     GroupoidArrow,
+    OrbitKey,
     ResidueRing,
     _ideal_norms_q,
     _ideal_norms_qi,
@@ -47,6 +48,7 @@ from cmforge.bc import (
     prime_window,
     sample_algebra_element,
     sample_arrow,
+    sample_unit_residue,
     symmetry_action,
     symmetry_class,
     time_evolution,
@@ -740,6 +742,62 @@ def test_convolve_matches_all_pairs_reference(level, request):
     assert disjoint
 
 
+@pytest.mark.parametrize("level", ["params_q", "params_qi", "params_q7", "params_qi7",
+                                   "params_qi6"])
+def test_convolve_keys_are_make_key_fixed_points(level, request):
+    # convolve builds composite keys without make_key, so each must already
+    # be canonical
+    params = request.getfixturevalue(level)
+    rng = random.Random(83)
+    checked = 0
+    for cap_a, cap_b in ((1, 1), (1, 2), (2, 2)):
+        a = sample_algebra_element(params, rng, terms=12, exponent_cap=cap_a)
+        b = sample_algebra_element(params, rng, terms=8, exponent_cap=cap_b)
+        for x, y in ((a, b), (b, a), (a, involution(a)), (involution(b), b)):
+            for k in convolve(x, y).terms:
+                assert make_key(params, k.exponents, k.locals, k.wcoset) == k
+                checked += 1
+    assert checked
+
+
+def test_convolve_checks_fire_on_noncanonical_keys(params_qi):
+    n = len(params_qi.places)
+    labels = params_qi.shimura.labels
+    delta = delta_units(params_qi)
+    assert len(labels) > 1
+    # with every place TOP the stabilizer image is all of the ray classes
+    unsaturated = OrbitKey((0,) * n, ((TOP, 0),) * n, labels[:1])
+    with pytest.raises(AssertionError, match="not saturated"):
+        convolve(AlgebraElement(params_qi, {unsaturated: Coefficient.one()}), delta)
+    # exact valuation 0 cannot absorb the exponent -1; make_key rejects it
+    assert make_key(params_qi, (-1,) + (0,) * (n - 1),
+                    ((EXACT, 0),) + ((TOP, 0),) * (n - 1), labels) is None
+    invalid = OrbitKey((-1,) + (0,) * (n - 1), ((EXACT, 0),) + ((TOP, 0),) * (n - 1), labels)
+    with pytest.raises(AssertionError, match="lost validity"):
+        convolve(AlgebraElement(params_qi, {invalid: Coefficient.one()}), delta)
+
+
+@pytest.mark.parametrize("level", ["params_q", "params_qi", "params_q7", "params_qi7",
+                                   "params_qi6"])
+def test_orbit_key_same_on_cold_and_warm_anchor_cache(level, request):
+    params = request.getfixturevalue(level)
+    rng = random.Random(89)
+    arrows = []
+    for _ in range(50):
+        arrow = sample_arrow(params, rng)
+        g1 = sample_unit_residue(params, rng)
+        g2 = sample_unit_residue(params, rng)
+        arrows += [arrow, arrow.translated(g1, g2)]
+    keys = [arrow.orbit_key() for arrow in arrows]
+    # every pattern is cached now
+    assert [arrow.orbit_key() for arrow in arrows] == keys
+    args = (params.ring.name, params.ring.coords(params.modulus), params.bound, params.cap)
+    for arrow, key in zip(arrows, keys):
+        cold = build_params(*args)
+        copy = GroupoidArrow(cold, arrow.unit, arrow.exponents, arrow.rho, arrow.w)
+        assert copy.orbit_key() == key
+
+
 # -- Integer coefficients against Fraction arithmetic -----------------------------------
 
 
@@ -1181,7 +1239,6 @@ def test_arrow_validation(params_qi):
 
 def test_orbit_key_invariant_under_unit_translation(params_q, params_qi):
     rng = random.Random(59)
-    from cmforge.bc import sample_unit_residue
 
     # 9 = 3^2 with (3) inert: its place has norm 9, outside the bound-5
     # window, so its residue cap is only v_3(9) = 2
