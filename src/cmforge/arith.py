@@ -30,7 +30,7 @@ exactly (labels, exponents, reduced residues, half plane points).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .bc import FiniteLevelParams, GroupoidArrow, sample_arrow
 from .cyclotomic import CyclotomicElement
@@ -251,26 +251,22 @@ class CMContext:
         return all(self.columns_congruent_at(m1, m2, p) for p in self.prime_support)
 
 
-def cm_context(params: FiniteLevelParams, *, generators=None) -> CMContext:
+def cm_context(params: FiniteLevelParams) -> CMContext:
     """Build the realization context for the field of a parameter set.
 
     The field is Q(zeta_n) in `galois.cyclotomic_scenario(n)`, n the
     conductor of ``params.ring``.  Only fields with a genus one symplectic
     realization in standard form are supported; the generator is taken
-    from the table of standard generators by conductor (i/2 for Q(i))
-    unless ``generators`` are passed.
+    from the table of standard generators by conductor (i/2 for Q(i)).
     """
     n = params.ring.cyclo_n
     if n <= 2:
         raise ValueError("the rational field has no symplectic realization")
+    if n not in _STANDARD_GENERATORS:
+        raise ValueError("no standard generator is on file for conductor %d" % n)
     field = cyclotomic_scenario(n).named("Q(zeta_%d)" % n)
-    if generators is None:
-        if n not in _STANDARD_GENERATORS:
-            raise ValueError(
-                "no standard generator is on file for conductor %d; pass one" % n
-            )
-        generators = [CyclotomicElement(n, _STANDARD_GENERATORS[n])]
-    point = build_cm_point(field, generators=generators)
+    generator = CyclotomicElement(n, _STANDARD_GENERATORS[n])
+    point = build_cm_point(field, generators=[generator])
     phi = phi_morphism(field, point)
     return CMContext(params, field, point, phi)
 
@@ -381,13 +377,14 @@ def level_unit_of(context: CMContext, label: str):
     enumeration order whose class matches; the choice is deterministic
     and cached on the context.  The enumeration runs over the residues of
     O modulo the working modulus M and refuses, with a ValueError, when
-    O/M has more than 20,000 of them; M grows with the prime window, so
-    this bounds the windows a realization can use.
+    O/M has more than `bc.ENUMERATION_LIMIT` (20,000) of them; M grows
+    with the prime window, so this bounds the windows a realization can
+    use.
     """
     params = context.params
     section = context._section_cache
     if not section:
-        for coords in params.residues.enumerate(limit=20000):
+        for coords in params.residues.enumerate():
             if not params.residues.is_unit(coords):
                 continue
             got = params.class_of_unit(coords)
@@ -639,8 +636,8 @@ class ArithmeticElement:
         return self.value(arrow)
 
 
-def arithmetic_element(context, oracle, *, twist=None) -> ArithmeticElement:
-    return ArithmeticElement(context, oracle, twist)
+def arithmetic_element(context, oracle) -> ArithmeticElement:
+    return ArithmeticElement(context, oracle)
 
 
 def support_check(element: ArithmeticElement, rng, samples: int = 30) -> dict:
@@ -695,7 +692,7 @@ def _nearest_integer(value: complex) -> Optional[int]:
     return None
 
 
-def property_v_vi_report(context: CMContext, oracle=None, *, terms: int = 30) -> dict:
+def property_v_vi_report(context: CMContext, oracle=None) -> dict:
     """Evaluate an oracle at every degenerate state and test rationality.
 
     The report lists the value at each state, checks that all the states
@@ -704,7 +701,7 @@ def property_v_vi_report(context: CMContext, oracle=None, *, terms: int = 30) ->
     oracle and a constant one.
     """
     if oracle is None:
-        oracle = j_oracle(terms=terms)
+        oracle = j_oracle()
     params = context.params
     element = ArithmeticElement(context, oracle)
     labels = params.shimura.labels
@@ -793,16 +790,14 @@ def criterion_check(
     *,
     gamma: str = "full",
     rng=None,
-    samples: int = 20,
-    primes: Sequence[int] = (2, 3, 5),
-    max_val: int = 2,
 ) -> dict:
     """Test the two conditions for the realized groupoid to be full.
 
     With the full integral level group the first condition asks for an
     integral element of negative multiplier and the second for every
     adelic similitude to split as a rational part times an integral one;
-    the splitting is sampled.  The trivial level group is a negative
+    the splitting is sampled 20 times, at the primes 2, 3 and 5 with
+    valuations up to 2.  The trivial level group is a negative
     control: splitting would force every sample to be rational on the
     nose, and the first non rational sample is the counterexample.
     """
@@ -829,10 +824,11 @@ def criterion_check(
             "reason": "the trivial group meets the rational points in the identity only",
         }
 
+    samples = 20
     failures = 0
     counterexample = None
     for k in range(samples):
-        f = sample_adelic_gsp(space, primes, rng, max_val=max_val)
+        f = sample_adelic_gsp(space, (2, 3, 5), rng, max_val=2)
         try:
             q, g = decompose_gsp(f)
         except (ValueError, AssertionError) as exc:

@@ -40,6 +40,7 @@ from .lattice import (
     IntMatrix,
     hermite_normal_form,
     hnf_reduce,
+    lattice_shell,
     prime_factors,
     solve_int_rowspan,
     vstack,
@@ -174,6 +175,11 @@ def builtin_ring(name: str) -> RingData:
 
 # -- Residue rings ----------------------------------------------------------------
 
+# The most residues ResidueRing.enumerate lists; a larger ring raises
+# ValueError.  The unit group of ShimuraSet, BCSystem.unit_points and
+# arith.level_unit_of all enumerate, so this bounds the moduli they accept.
+ENUMERATION_LIMIT = 20000
+
 
 class ResidueRing:
     """The quotient O/(modulus) of a ring of integers by a principal ideal.
@@ -249,10 +255,11 @@ class ResidueRing:
             raise ValueError("residue is not invertible")
         return self.reduce(combo[: self.ring.degree])
 
-    def enumerate(self, limit: Optional[int] = None) -> List[Tuple[int, ...]]:
-        if limit is not None and self.size > limit:
+    def enumerate(self) -> List[Tuple[int, ...]]:
+        if self.size > ENUMERATION_LIMIT:
             raise ValueError(
-                "residue ring has %d elements, above the limit %d" % (self.size, limit)
+                "residue ring has %d elements, above the limit %d"
+                % (self.size, ENUMERATION_LIMIT)
             )
         h = self.lattice.entries
         ranges = [range(h[i][i]) for i in range(self.lattice.rows)]
@@ -343,31 +350,6 @@ def _ideal_generator_polys(ring: RingData, p: int, f: int) -> List[Tuple[int, ..
     raise ValueError("no prime ideal construction for residue degree %d" % f)
 
 
-def _lattice_shell(h: Sequence[Sequence[int]], height: int):
-    """Points of the lattice spanned by the rows of the upper triangular h
-    with max |coordinate| == height, in increasing coordinate order.
-
-    Each coordinate x_j runs over x_j = prefix_j + c * h[j][j] in [-height,
-    height], back-substituted row by row, so the walk is lexicographic.
-    """
-    d = len(h)
-
-    def walk(j, x, on_shell):
-        row = h[j]
-        piv = row[j]
-        if j == d - 1:
-            ends = range(-height, height + 1) if on_shell else (-height, height)
-            for v in ends:
-                if (v - x[j]) % piv == 0:
-                    yield tuple(x[:j]) + (v,)
-            return
-        for c in range(-((height + x[j]) // piv), (height - x[j]) // piv + 1):
-            y = x[:j] + [x[k] + c * row[k] for k in range(j, d)]
-            yield from walk(j + 1, y, on_shell or abs(y[j]) == height)
-
-    return walk(0, [0] * d, False)
-
-
 @lru_cache(maxsize=None)
 def _prime_generators(ring: RingData, p: int, f: int) -> Tuple[CyclotomicElement, ...]:
     """Canonical generators of the primes above p, each of norm p**f.
@@ -405,7 +387,7 @@ def _prime_generators(ring: RingData, p: int, f: int) -> Tuple[CyclotomicElement
         firsts.append(next(
             (height, x)
             for height in itertools.count(1)
-            for x in _lattice_shell(basis, height)
+            for x in lattice_shell(basis, height)
             if abs(IntMatrix(ring.coord_rows(x)).determinant()) == target
         ))
     torsion = [ring.coord_rows(ring.coords(u)) for u in ring.torsion_units()]
@@ -445,18 +427,17 @@ class ShimuraSet:
     """Residue classes modulo m up to the image of the global units.
 
     Labels are stable strings w0, w1, ... ordered by the smallest residue
-    representative, and each class keeps that representative as its Artin
-    label.
+    representative, and each class keeps that representative.
     """
 
     __slots__ = ("ring", "modulus", "residues", "labels", "_class_of", "_mult",
-                 "_inverse", "identity", "artin_labels", "representatives")
+                 "_inverse", "identity", "representatives")
 
     def __init__(self, ring: RingData, modulus: CyclotomicElement, primes):
         self.ring = ring
         self.modulus = modulus
         ring_mod = ResidueRing(ring, modulus, primes)
-        units = [u for u in ring_mod.enumerate(limit=20000) if ring_mod.is_unit(u)]
+        units = [u for u in ring_mod.enumerate() if ring_mod.is_unit(u)]
         unit_set = set(units)
         gens = [ring_mod.reduce(ring.coords(g)) for g in ring.unit_generators]
         image = {ring_mod.one()}
@@ -481,10 +462,6 @@ class ShimuraSet:
         classes.sort(key=lambda orbit: orbit[0])
         self.residues = ring_mod
         self.labels = tuple("w%d" % k for k in range(len(classes)))
-        self.artin_labels = {
-            label: "+".join(str(c) for c in orbit[0])
-            for label, orbit in zip(self.labels, classes)
-        }
         lookup = {}
         for label, orbit in zip(self.labels, classes):
             for member in orbit:
@@ -1426,25 +1403,23 @@ class GroupoidArrow:
         )
 
 
-def element_from_arrow(arrow: GroupoidArrow, coefficient=None) -> AlgebraElement:
-    coeff = coefficient if coefficient is not None else Coefficient.one()
-    return AlgebraElement(arrow.params, {arrow.orbit_key(): coeff})
+def element_from_arrow(arrow: GroupoidArrow) -> AlgebraElement:
+    return AlgebraElement(arrow.params, {arrow.orbit_key(): Coefficient.one()})
 
 
 class BCSystem:
-    """A finite model bundling parameters with its convolution identity."""
+    """A finite model: a parameter set and its space of unit points."""
 
-    __slots__ = ("params", "delta")
+    __slots__ = ("params",)
 
     def __init__(self, params: FiniteLevelParams):
         self.params = params
-        self.delta = delta_units(params)
 
     def unit_space_size(self) -> int:
         return self.params.residues.size * len(self.params.shimura)
 
-    def unit_points(self, limit: int = 20000):
-        residues = self.params.residues.enumerate(limit=limit)
+    def unit_points(self):
+        residues = self.params.residues.enumerate()
         return [
             (rho, w) for rho in residues for w in self.params.shimura.labels
         ]
@@ -1551,18 +1526,14 @@ def _ideal_norms_sieve(ring: RingData, bound: int) -> List[int]:
     return counts
 
 
-_CATALAN_CACHE = {}
-
-
-def catalan_constant(terms: int = 200000) -> float:
-    cached = _CATALAN_CACHE.get(terms)
-    if cached is None:
-        total = 0.0
-        for k in range(terms - 1, -1, -1):
-            term = 1.0 / (2 * k + 1) ** 2
-            total += term if k % 2 == 0 else -term
-        _CATALAN_CACHE[terms] = cached = total
-    return cached
+@lru_cache(maxsize=None)
+def catalan_constant() -> float:
+    """Catalan's constant from 200,000 terms of its alternating series."""
+    total = 0.0
+    for k in reversed(range(200000)):
+        term = 1.0 / (2 * k + 1) ** 2
+        total += term if k % 2 == 0 else -term
+    return total
 
 
 def partition_reference(params: FiniteLevelParams, beta) -> Optional[float]:

@@ -15,6 +15,7 @@ the lattice solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cyclotomic import CyclotomicElement, matrix_determinant
 from .galois import (
@@ -173,7 +174,7 @@ class SerreGroup:
     archimedean parameter h.
     """
 
-    def __init__(self, field, ambient, torus, projection, mu, h_pair, sublattice, tau):
+    def __init__(self, field, ambient, torus, projection, mu, h_pair, sublattice):
         self.field = field
         self.ambient = ambient
         self.torus = torus
@@ -181,7 +182,6 @@ class SerreGroup:
         self.mu = mu
         self.h_pair = h_pair
         self.sublattice = sublattice
-        self.tau = tau
 
     @property
     def rank(self) -> int:
@@ -223,21 +223,19 @@ def serre_sublattice(K: FieldHandle) -> IntMatrix:
     return solution_sublattice(conditions, ambient_rank=t.rank)
 
 
-def serre_group(K: FieldHandle, tau=None) -> SerreGroup:
+def serre_group(K: FieldHandle) -> SerreGroup:
     t = torus_of_field(K)
     sub = serre_sublattice(K)
     name = f"S^{K.name}" if K.name else "S"
     quotient, projection = quotient_torus(t, sub, name=name)
-    if tau is None:
-        tau = K.tau()
-    mu = projection.push_cocharacter(mu_tau(K, tau))
+    mu = projection.push_cocharacter(mu_tau(K))
     h_pair = (mu, mu.translate(K.scenario.iota))
     if not lattice_contains(sub, (1,) * t.rank):
         raise AssertionError("norm character must satisfy the symmetry conditions")
-    return SerreGroup(K, t, quotient, projection, mu, h_pair, sub, tau)
+    return SerreGroup(K, t, quotient, projection, mu, h_pair, sub)
 
 
-def serre_kernel_report(K: FieldHandle, tau=None) -> dict:
+def serre_kernel_report(K: FieldHandle) -> dict:
     """Character-level exactness test for the norm-kernel presentation.
 
     The claim under test: with E the maximal CM subfield of K (or Q) and F
@@ -279,8 +277,8 @@ def serre_kernel_report(K: FieldHandle, tau=None) -> dict:
     }
 
 
-def serre_kernel_check(K: FieldHandle, tau=None) -> bool:
-    return serre_kernel_report(K, tau)["exact"]
+def serre_kernel_check(K: FieldHandle) -> bool:
+    return serre_kernel_report(K)["exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +423,7 @@ def is_isomorphism(f: TorusMorphism) -> bool:
 
 def lemmahodge_check(sg: SerreGroup) -> bool:
     """The ambient-level h lifts the quotient-level h through the projection."""
-    lift = mu_tau(sg.field, sg.tau)
+    lift = mu_tau(sg.field)
     iota = sg.field.scenario.iota
     pair = (lift, lift.translate(iota))
     pushed = tuple(sg.projection.push_cocharacter(c) for c in pair)
@@ -443,7 +441,7 @@ def lemmacomp_check(t: CMType, bigger: FieldHandle) -> bool:
     return direct.char_map == through.char_map
 
 
-def serre_property_suite(K: FieldHandle, cm_type: CMType | None = None, tau=None) -> dict:
+def serre_property_suite(K: FieldHandle, cm_type: CMType | None = None) -> dict:
     """Diagram checks for the universal quotient of K, reported per item."""
     s = K.scenario
     checks = []
@@ -455,19 +453,25 @@ def serre_property_suite(K: FieldHandle, cm_type: CMType | None = None, tau=None
             ok, detail = False, str(err)
         checks.append({"id": check_id, "pass": bool(ok), "detail": detail})
 
-    sg_k = serre_group(K, tau)
+    sg_k = serre_group(K)
     try:
         E = maximal_cm_subfield(K)
     except ValueError:
         E = s.rational_field()
     sg_e = serre_group(E)
 
+    # Built once for the three checks below; a map that raises is not
+    # cached, so each of them records the error.
+    @cache
+    def induced_map():
+        return induced_serre_morphism(sg_k, sg_e)
+
     def norm_diagram():
-        induced = induced_serre_morphism(sg_k, sg_e)
+        induced_map()
         return True, f"induced map {sg_k.rank}x{sg_e.rank}"
 
     def h_compat():
-        induced = induced_serre_morphism(sg_k, sg_e)
+        induced = induced_map()
         same_mu = induced.push_cocharacter(sg_k.mu) == sg_e.mu
         same_conj = (
             induced.push_cocharacter(sg_k.h_pair[1]) == sg_e.h_pair[1]
@@ -475,8 +479,7 @@ def serre_property_suite(K: FieldHandle, cm_type: CMType | None = None, tau=None
         return same_mu and same_conj, "h-parameters match through the induced map"
 
     def max_cm_iso():
-        induced = induced_serre_morphism(sg_k, sg_e)
-        return is_isomorphism(induced), "elementary divisors all 1"
+        return is_isomorphism(induced_map()), "elementary divisors all 1"
 
     def hodge():
         return lemmahodge_check(sg_k), "projection carries the ambient pair to the quotient pair"
@@ -486,7 +489,7 @@ def serre_property_suite(K: FieldHandle, cm_type: CMType | None = None, tau=None
     record("serre-max-cm-iso", max_cm_iso)
     record("serre-hodge-lift", hodge)
 
-    kernel = serre_kernel_report(K, tau)
+    kernel = serre_kernel_report(K)
     checks.append(
         {
             "id": "serre-kernel-sequence",
@@ -541,7 +544,7 @@ def cyclotomic_level(scenario) -> int:
     return scenario.conductor
 
 
-def _embedding_exponents(field: FieldHandle, n: int):
+def _embedding_exponents(field: FieldHandle):
     order = field.scenario.elements.index
     return tuple(int(min(c, key=order)) for c in field.embeddings)
 
@@ -580,9 +583,9 @@ def realize_on_point(f: TorusMorphism, a: CyclotomicElement):
 
 def embed_under_all(field: FieldHandle, x: CyclotomicElement):
     """The tuple (rho(x)) over all embeddings of the field, in the realization."""
-    n = cyclotomic_level(field.scenario)
+    cyclotomic_level(field.scenario)  # refuses scenarios without a cyclotomic model
     _check_in_field(x, field)
-    return tuple(x.galois(j) for j in _embedding_exponents(field, n))
+    return tuple(x.galois(j) for j in _embedding_exponents(field))
 
 
 def reflex_determinant_oracle(t: CMType, a: CyclotomicElement) -> CyclotomicElement:
@@ -602,7 +605,7 @@ def reflex_determinant_oracle(t: CMType, a: CyclotomicElement) -> CyclotomicElem
         raise ValueError("determinant oracle needs the fully realized field")
     estar = reflex_field(t)
     _check_in_field(a, estar)
-    exponents = _embedding_exponents(E, n)
+    exponents = _embedding_exponents(E)
     phi_exps = [exponents[E.embedding_index(f)] for f in sorted(t.phi, key=E.embedding_index)]
     g = len(phi_exps)
     # matrix of the a-action over the module basis (one basis vector per

@@ -63,9 +63,6 @@ class IntMatrix:
     def row(self, i):
         return self.entries[i]
 
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
 
@@ -522,6 +519,31 @@ def solve_int_rowspan(basis: IntMatrix, vector):
     if any(r):
         return None
     return u.act_on_row(y)
+
+
+def lattice_shell(h, height: int):
+    """Points of the lattice spanned by the rows of the upper triangular h
+    with max |coordinate| == height, in increasing coordinate order.
+
+    Each coordinate x_j runs over x_j = prefix_j + c * h[j][j] in [-height,
+    height], back-substituted row by row, so the walk is lexicographic.
+    """
+    d = len(h)
+
+    def walk(j, x, on_shell):
+        row = h[j]
+        piv = row[j]
+        if j == d - 1:
+            ends = range(-height, height + 1) if on_shell else (-height, height)
+            for v in ends:
+                if (v - x[j]) % piv == 0:
+                    yield tuple(x[:j]) + (v,)
+            return
+        for c in range(-((height + x[j]) // piv), (height - x[j]) // piv + 1):
+            y = x[:j] + [x[k] + c * row[k] for k in range(j, d)]
+            yield from walk(j + 1, y, on_shell or abs(y[j]) == height)
+
+    return walk(0, [0] * d, False)
 
 
 def prime_factors(n: int) -> list:

@@ -199,15 +199,15 @@ class ModularOracle:
     def __call__(self, point: HalfPlanePoint) -> OracleValue:
         return self._evaluate(point)
 
-    def value_at_float(self, x: float, y: float, floor: float = 1e-8) -> OracleValue:
+    def value_at_float(self, x: float, y: float) -> OracleValue:
         """Evaluate at a float point, guarding against precision collapse.
 
-        Points with tiny imaginary part cannot be reduced in float
+        Points with imaginary part below 1e-8 cannot be reduced in float
         arithmetic without catastrophic cancellation, so they are refused.
         """
-        if y < floor:
+        if y < 1e-8:
             raise PrecisionError(
-                "imaginary part %.3g is below the precision floor %.3g" % (y, floor)
+                "imaginary part %.3g is below the precision floor 1e-08" % y
             )
         return self(half_plane_point(Fraction(x).limit_denominator(10 ** 12),
                                      Fraction(y).limit_denominator(10 ** 12)))

@@ -13,12 +13,12 @@ similitude group be computed by exact lattice arithmetic.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .cm import (
+    _embedding_exponents,
     cyclotomic_level,
     enumerate_cm_types,
     induced_serre_morphism,
@@ -43,6 +43,7 @@ from .lattice import (
     int_matmul,
     int_matrix_inverse,
     lattice_intersection,
+    lattice_shell,
     prime_factors,
     right_kernel,
     solution_sublattice,
@@ -95,18 +96,12 @@ def _stabilizer_exponents(x: CyclotomicElement, scenario):
     return {g for g in scenario.elements if x.galois(int(g)) == x}
 
 
-def _complex_value(x: CyclotomicElement) -> complex:
-    root = cmath.exp(2j * cmath.pi / x.n)
-    return sum(float(c) * root**k for k, c in enumerate(x.coeffs))
-
-
-def totally_imaginary_generator(field: FieldHandle, *, positive: bool = False):
+def totally_imaginary_generator(field: FieldHandle):
     """A totally imaginary element generating the CM field over Q.
 
     Searches the differences zeta^a - zeta^{-a} first and then small
     integer combinations of them, ordered by coefficient height, so the
-    result is deterministic.  With ``positive`` the sign is normalized to
-    give positive imaginary part under the distinguished embedding.
+    result is deterministic.
     """
     ok, _ = is_cm(field)
     if not ok:
@@ -119,7 +114,7 @@ def totally_imaginary_generator(field: FieldHandle, *, positive: bool = False):
             if (2 * a) % n:
                 yield CyclotomicElement.zeta(n, a) - CyclotomicElement.zeta(n, n - a)
         for height in range(2, 4):
-            for combo in _bounded_vectors(len(span), height):
+            for combo in lattice_shell(IntMatrix.identity(len(span)).entries, height):
                 x = CyclotomicElement.zero(n)
                 for c, a in zip(combo, span):
                     if c:
@@ -134,27 +129,8 @@ def totally_imaginary_generator(field: FieldHandle, *, positive: bool = False):
             continue
         if xi.conjugate() != -xi:
             raise AssertionError("generator must be totally imaginary")
-        if positive and _complex_value(xi).imag < 0:
-            xi = -xi
         return xi
     raise ValueError("no totally imaginary generator of height below 4 found")
-
-
-def _bounded_vectors(length, height):
-    """Integer vectors with max |entry| equal to the given height."""
-    if length == 0:
-        return
-    rng = range(-height, height + 1)
-
-    def rec(prefix):
-        if len(prefix) == length:
-            if max(abs(c) for c in prefix) == height:
-                yield tuple(prefix)
-            return
-        for c in rng:
-            yield from rec(prefix + [c])
-
-    yield from rec([])
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +265,7 @@ def _field_trace(x: CyclotomicElement, degree: int) -> Fraction:
     return Fraction(full) * degree / d
 
 
-def build_symplectic_space(fields, generators=None, *, positive=False) -> SymplecticSpace:
+def build_symplectic_space(fields, generators=None) -> SymplecticSpace:
     """Assemble the direct sum of trace-form symplectic spaces.
 
     Each summand contributes the pairing (x, y) -> Tr(xi·x·y^ι) on its
@@ -302,7 +278,7 @@ def build_symplectic_space(fields, generators=None, *, positive=False) -> Symple
     summands = []
     for field, xi in zip(fields, generators):
         if xi is None:
-            xi = totally_imaginary_generator(field, positive=positive)
+            xi = totally_imaginary_generator(field)
         else:
             _validate_imaginary_generator(field, xi)
         summands.append(SymplecticSummand(field, xi, fixed_integral_basis(field)))
@@ -571,7 +547,7 @@ def similitude_subtorus(E: FieldHandle):
     return sub, inclusion
 
 
-def similitude_norm(field: FieldHandle, x: CyclotomicElement):
+def similitude_norm(x: CyclotomicElement):
     """x·x^ι as a rational number, or None when it leaves Q."""
     value = x * x.conjugate()
     if not value.is_rational():
@@ -745,7 +721,7 @@ def phi_morphism(K: FieldHandle, point: CMPointData) -> TorusMorphism:
                 raise AssertionError("image is not inside the similitude subtorus")
         blocks.append(composite.char_map)
     phi = TorusMorphism(sgk.projection.source, point.torus, _hcat(blocks), name="phi")
-    hodge = mu_tau(K, sgk.tau)
+    hodge = mu_tau(K)
     if phi.push_cocharacter(hodge) != point.mu:
         raise AssertionError("the morphism does not carry the Hodge cocharacter")
     if phi.push_cocharacter(hodge.translate(K.scenario.iota)) != point.h_pair[1]:
@@ -804,8 +780,7 @@ def element_from_embedding_values(field: FieldHandle, values):
     """
     n = cyclotomic_level(field.scenario)
     basis = fixed_integral_basis(field)
-    order = field.scenario.elements.index
-    exps = [int(min(c, key=order)) for c in field.embeddings]
+    exps = _embedding_exponents(field)
     if len(values) != len(exps):
         raise ValueError("one value per embedding is required")
     d = len(CyclotomicElement.one(n).coeffs)

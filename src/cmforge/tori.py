@@ -186,7 +186,7 @@ class Cocharacter:
 # ---------------------------------------------------------------------------
 
 
-def torus_of_field(K: FieldHandle, name=None) -> Torus:
+def torus_of_field(K: FieldHandle) -> Torus:
     """The norm-one-free torus with X^* the free module on embeddings of K.
 
     The Galois action permutes embeddings by left multiplication:
@@ -203,7 +203,7 @@ def torus_of_field(K: FieldHandle, name=None) -> Torus:
             m[i][j] = 1
         action[g] = IntMatrix(m)
     lattice = GModuleLattice(n, action)
-    return Torus(s, lattice, K.embeddings, name=name or (K.name and f"T^{K.name}") or "")
+    return Torus(s, lattice, K.embeddings, name=(K.name and f"T^{K.name}") or "")
 
 
 def norm_morphism(L: FieldHandle, K: FieldHandle) -> TorusMorphism:

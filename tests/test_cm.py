@@ -276,6 +276,32 @@ def test_property_suite_on_gaussian_field(qi):
     assert report["all_pass"]
 
 
+def test_property_suite_builds_the_induced_map_once(z5, monkeypatch):
+    import cmforge.cm as cm
+
+    calls = []
+
+    def counted(sg_k, sg_e):
+        calls.append(1)
+        return induced_serre_morphism(sg_k, sg_e)
+
+    monkeypatch.setattr(cm, "induced_serre_morphism", counted)
+    assert serre_property_suite(z5.ambient_field())["all_pass"]
+    assert len(calls) == 1
+
+    def refuses(sg_k, sg_e):
+        raise ValueError("norm does not respect the symmetry sublattices")
+
+    monkeypatch.setattr(cm, "induced_serre_morphism", refuses)
+    report = serre_property_suite(z5.ambient_field())
+    by_id = {c["id"]: c for c in report["checks"]}
+    for check_id in ("serre-norm-diagram", "serre-h-compat", "serre-max-cm-iso"):
+        assert by_id[check_id]["pass"] is False
+        assert by_id[check_id]["detail"] == "norm does not respect the symmetry sublattices"
+    assert by_id["serre-hodge-lift"]["pass"]
+    assert by_id["serre-kernel-sequence"]["pass"]
+
+
 def test_norm_induced_map_is_isomorphism_to_max_cm(c2s3, z5):
     K = c2s3.named("Q(i,2^(1/3))")
     E = c2s3.named("Q(i)")
@@ -326,6 +352,39 @@ def test_serre_outputs_match_golden(label):
     assert _sha256(serre_sublattice(K).entries) == sublattice_sha
     report = serre_property_suite(K)
     assert _sha256([(c["id"], c["pass"], c["detail"]) for c in report["checks"]]) == checks_sha
+
+
+# SHA-256 of repr(serre_property_suite(K)), the whole report with ranks,
+# names and every check's detail string, for the fields above and for the
+# cyclotomic-12 field with a CM type from Q(i).
+SERRE_REPORT_SHA = {
+    "qi": "ad1324c21d0e3f9611cc48e0f3b46d8549178aecd88ade4f0066f7744af1d7c0",
+    "zeta5": "c4a29e51bda13912c7d5a2af041e65cc959a33ba01e9d9c0bf72a4c91cb779e2",
+    "d4": "bd4322c3e42efb5fec4959b7575a58cf44d7daae3f18f388ed18a7a2df083e80",
+    "c2xs3": "d2f94ad19ed27aef9a1c1b28f0fc7a4f4e3d70128dd365af3cde8c15853f0a94",
+    "cyclotomic-15": "3b81410490b3ae07f4c5ec009537d1af244e55201ffe1dfa64d81eb8bd39ea19",
+    "cyclotomic-16": "850393b080a7f3b23d489de0cb2a8ecb84d8d2abc04997eac8e7959146721764",
+    "cyclotomic-20": "0cab116dd937f3bdf8b833fe311a7c32755f7953f0c80fcc1b446360cce823d1",
+    "cyclotomic-24": "a9deb704e7592c50e33697b1bdf4fd48b7e035d538914c8814f835d5b2842343",
+    "cyclotomic-21": "b13cae8ad990181ab0430f27fba323f85d9ea1f12f91af60ce7109301e25f920",
+    "cyclotomic-28": "178f0019cee40ee726ca0185bc030b85cd6f2659e6f71d6326c2d34abb611b6a",
+    "cm_type": "753efd87bc2af7a793176a36d747ebf4fb6756710b5f806eea1eaf0042e1cf9a",
+}
+
+
+@pytest.mark.parametrize("label", sorted(SERRE_REPORT_SHA))
+def test_serre_reports_are_unchanged(label):
+    if label == "cm_type":
+        s12 = cyclotomic_scenario(12)
+        qi12 = s12.field(frozenset({"1", "5"}), name="Q(i)")
+        report = serre_property_suite(
+            s12.ambient_field(), cm_type=CMType(qi12, {qi12.embeddings[0]})
+        )
+    else:
+        key, sub = SERRE_GOLDEN[label][:2]
+        scenario = builtin_scenario(key)
+        report = serre_property_suite(scenario.named(sub) if sub else scenario.ambient_field())
+    assert _sha256(report) == SERRE_REPORT_SHA[label]
 
 
 def test_rho_compatibility_through_tower():

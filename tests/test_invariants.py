@@ -3,8 +3,9 @@
 Bare ``assert`` statements vanish under -O, so every correctness check in
 ``cmforge`` is an explicit ``raise``, and a ``python -O`` run checks that
 the checks still fire.  No module keeps a top-level import it never reads
-(no linter runs in CI, so this test stands in for one).  Every console
-script declared in pyproject.toml must point at a function that exists.
+(no linter runs in CI, so this test stands in for one), and no function
+keeps a parameter its body never reads.  Every console script declared
+in pyproject.toml must point at a function that exists.
 """
 
 import ast
@@ -51,6 +52,43 @@ def test_library_has_no_unused_imports():
         "%s:%d %s" % (path.name, line, name)
         for path in SOURCES
         for name, line in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def _unread_parameters(tree):
+    """(function, line, parameter) of every parameter its body never reads.
+
+    ``self``, ``cls`` and the parameters of dunder methods are skipped:
+    their signatures are fixed by the calling protocol.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        read = {
+            sub.id
+            for stmt in node.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        found += [
+            (node.name, node.lineno, p.arg)
+            for p in params
+            if p is not None and p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return found
+
+
+def test_library_reads_every_parameter():
+    found = [
+        "%s:%d %s(%s)" % (path.name, line, name, param)
+        for path in SOURCES
+        for name, line, param in _unread_parameters(ast.parse(path.read_text()))
     ]
     assert found == []
 

@@ -27,6 +27,7 @@ from cmforge.lattice import (
     kernel_lattice,
     lattice_contains,
     lattice_intersection,
+    lattice_shell,
     prime_factors,
     right_kernel,
     smith_normal_form,
@@ -516,6 +517,24 @@ def test_int_matrix_inverse():
     rng = random.Random(3)
     m = random_unimodular(3, rng)
     assert m * int_matrix_inverse(m) == IntMatrix.identity(3)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1]], [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[2, 1], [0, 3]], [[1, 2, 0], [0, 2, 1], [0, 0, 3]],
+], ids=["Z", "Z2", "Z3", "Z4", "2x2", "3x3"])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_lattice_shell_against_brute_force(rows, height):
+    """The shell walk lists the lattice points of max |coordinate| equal to
+    the height, each once, in lexicographic order."""
+    basis = IntMatrix(rows)
+    cube = itertools.product(range(-height, height + 1), repeat=len(rows))
+    expected = [
+        x for x in cube
+        if max(map(abs, x)) == height and lattice_contains(basis, x)
+    ]
+    assert list(lattice_shell(rows, height)) == expected
 
 
 def test_prime_factors_match_brute_force():
