@@ -95,9 +95,11 @@ class CMContext:
     """A CM point together with the finite level data it realizes.
 
     The symplectic space must carry the standard alternating form on the
-    integer coordinate lattice and the summand basis must agree with the
-    basis of the residue ring, so that realization matrices and residue
-    arithmetic speak about the same coordinates.
+    integer coordinate lattice and the summand basis must be the power basis
+    zeta^k in which the finite model writes its ring elements, so that
+    realization matrices and residue arithmetic speak about the same
+    coordinates.  This is the one place where field elements of
+    :mod:`cmforge.cyclotomic` meet those coordinates.
     """
 
     __slots__ = (
@@ -128,7 +130,9 @@ class CMContext:
         if self.space.gram != standard_j(self.space.genus):
             raise ValueError("the symplectic space does not carry the standard form")
         summand = self.space.summands[0]
-        if tuple(summand.basis) != tuple(params.ring.basis):
+        ring = params.ring
+        powers = tuple(CyclotomicElement.zeta(ring.cyclo_n, k) for k in range(ring.degree))
+        if tuple(summand.basis) != powers:
             raise ValueError(
                 "residue ring basis does not match the symplectic coordinates"
             )
@@ -144,7 +148,6 @@ class CMContext:
             k for k, coset in enumerate(summand.field.embeddings)
             if scenario.identity in coset
         )
-        ring = params.ring
         conjugations = []
         for i, coset in enumerate(phi.source.basis_labels):
             e = phi.char_map[i, column]
@@ -152,7 +155,7 @@ class CMContext:
                 raise ValueError("the reflex norm character has a negative exponent")
             if e:
                 j = int(min(coset, key=order))
-                rows = tuple(ring.coords(b.galois(j)) for b in ring.basis)
+                rows = tuple(tuple(map(int, b.galois(j).coeffs)) for b in summand.basis)
                 conjugations.append((rows, e))
         self._conjugations = tuple(conjugations)
         self._realize_cache: Dict[Tuple[int, ...], GSpElement] = {}
@@ -641,7 +644,14 @@ def arithmetic_element(context, oracle) -> ArithmeticElement:
 
 
 def support_check(element: ArithmeticElement, rng, samples: int = 30) -> dict:
-    """Sampled containment of the support in the unit monoid part."""
+    """Sampled containment of the support in the unit monoid part.
+
+    This check cannot fail at today's inputs: it calls an arrow off the
+    support by the same `is_unit` predicate on which
+    `ArithmeticElement.value` returns 0, so it holds for every oracle and
+    ``off_support`` counts only what the sampler drew.  An independent
+    description of the support would make it able to fail (ROADMAP item 15).
+    """
     params = element.context.params
     tested = 0
     off_support = 0

@@ -12,6 +12,11 @@ stored on orbit classes.  An orbit is pinned down by exact data:
 * a coset of ray classes, saturated under the image of the stabilizer of
   the anchored residue.
 
+Ring elements (moduli, prime generators, units and residues) are tuples of
+integer coordinates over the power basis 1, zeta, ..., zeta^(d-1) of
+Z[zeta_n]; see RingData.  Field arithmetic lives in :mod:`cmforge.cyclotomic`,
+and `arith.CMContext` is the one place where the two meet.
+
 Convolution, involution and the time evolution all stay inside this key
 format, so associativity can be tested exactly.  The time evolution keeps
 its phases symbolic: a coefficient is a Gaussian rational attached to a
@@ -35,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cyclotomic import CyclotomicElement, _poly_divmod, cyclotomic_polynomial
+from .cyclotomic import _poly_divmod, _power_table, cyclotomic_polynomial
 from .lattice import (
     IntMatrix,
     hermite_normal_form,
@@ -56,57 +61,55 @@ EXACT = "exact"
 class RingData:
     """Ring of integers of a builtin field in its power basis.
 
-    Immutable: `builtin_ring` hands one instance per field to every caller.
+    Elements are tuples of integer coordinates over the power basis 1, zeta,
+    ..., zeta^(d-1) of Z[zeta_n], multiplied through coord_rows and
+    times_rows.  Immutable: `builtin_ring` hands one instance per field to
+    every caller.
     """
 
-    __slots__ = ("name", "cyclo_n", "degree", "basis", "unit_generators", "_powers")
+    __slots__ = ("name", "cyclo_n", "degree", "unit_generators", "_powers")
 
     def __init__(self, name, cyclo_n, unit_gen_coords, unit_orders):
-        degree = len(CyclotomicElement.one(cyclo_n).coeffs)
+        # coordinates of zeta^k for k = 0 .. 2(d-1), the products of two basis vectors
+        powers = tuple(tuple(map(int, v)) for v in _power_table(cyclo_n))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "cyclo_n", cyclo_n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(
-            self, "basis", tuple(CyclotomicElement.zeta(cyclo_n, k) for k in range(degree))
-        )
-        # coordinates of zeta^k for k = 0 .. 2(d-1), the products of two basis vectors
-        object.__setattr__(self, "_powers", tuple(
-            self.coords(CyclotomicElement.zeta(cyclo_n, k)) for k in range(2 * degree - 1)
-        ))
-        gens = tuple(self.from_coords(c) for c in unit_gen_coords)
+        object.__setattr__(self, "degree", (len(powers) + 1) // 2)
+        object.__setattr__(self, "_powers", powers)
+        gens = tuple(tuple(c) for c in unit_gen_coords)
+        if len(gens) != len(unit_orders):
+            raise ValueError("each declared unit generator needs one declared order")
         for gen, order in zip(gens, unit_orders):
             self._verify_unit(gen, order)
-        minus_one = -CyclotomicElement.one(cyclo_n)
+        minus_one = tuple(-c for c in powers[0])
         object.__setattr__(self, "unit_generators", gens + (minus_one,))
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("RingData is immutable")
 
     def _verify_unit(self, gen, order):
-        if abs(gen.norm()) != 1:
+        if len(gen) != self.degree:
+            raise ValueError("coordinate length mismatch")
+        rows = self.coord_rows(gen)
+        if abs(IntMatrix(rows).determinant()) != 1:
             raise ValueError("declared unit generator has norm != 1")
+        one = self._powers[0]
         if order is None:
             power = gen
             for _ in range(24):
-                if power == CyclotomicElement.one(self.cyclo_n):
+                if power == one:
                     raise ValueError("declared infinite order unit is torsion")
-                power = power * gen
+                power = self.times_rows(power, rows)
         else:
-            power = CyclotomicElement.one(self.cyclo_n)
+            power = one
             for k in range(1, order):
-                power = power * gen
-                if power == CyclotomicElement.one(self.cyclo_n):
+                power = self.times_rows(power, rows)
+                if power == one:
                     raise ValueError("unit generator order is smaller than declared")
-            if power * gen != CyclotomicElement.one(self.cyclo_n):
+            if self.times_rows(power, rows) != one:
                 raise ValueError("unit generator order mismatch")
 
-    def from_coords(self, coords) -> CyclotomicElement:
-        vals = [Fraction(c) for c in coords]
-        if len(vals) != self.degree:
-            raise ValueError("coordinate length mismatch")
-        return CyclotomicElement(self.cyclo_n, tuple(vals))
-
-    def torsion_units(self) -> Tuple[CyclotomicElement, ...]:
+    def torsion_units(self) -> Tuple[Tuple[int, ...], ...]:
         one = self._powers[0]
         gens = [self.coord_rows(tuple(-c for c in one))]
         if self.cyclo_n > 1:
@@ -120,18 +123,10 @@ class RingData:
                 if nxt not in group:
                     group[nxt] = None
                     frontier.append(nxt)
-        return tuple(self.from_coords(c) for c in group)
-
-    def coords(self, element: CyclotomicElement) -> Tuple[int, ...]:
-        out = []
-        for c in element.coeffs:
-            if c.denominator != 1:
-                raise ValueError("element is not integral in the power basis")
-            out.append(int(c))
-        return tuple(out)
+        return tuple(group)
 
     def coord_rows(self, coords) -> List[List[int]]:
-        """Row i holds the coordinates of x * basis[i], x given by its coordinates."""
+        """Row i holds the coordinates of x * zeta^i, x given by its coordinates."""
         d = self.degree
         powers = self._powers
         return [
@@ -144,10 +139,6 @@ class RingData:
         return tuple(
             sum(c * row[j] for c, row in zip(coords, rows)) for j in range(self.degree)
         )
-
-    def multiplication_rows(self, element: CyclotomicElement) -> IntMatrix:
-        """Rows are the coordinates of element * basis[i]."""
-        return IntMatrix(self.coord_rows(self.coords(element)))
 
 
 # canonical name -> (conductor, declared unit generators, their orders (None
@@ -176,30 +167,29 @@ def builtin_ring(name: str) -> RingData:
 # -- Residue rings ----------------------------------------------------------------
 
 # The most residues ResidueRing.enumerate lists; a larger ring raises
-# ValueError.  The unit group of ShimuraSet, BCSystem.unit_points and
-# arith.level_unit_of all enumerate, so this bounds the moduli they accept.
+# ValueError.  The unit group of ShimuraSet and arith.level_unit_of both
+# enumerate, so this bounds the moduli they accept.
 ENUMERATION_LIMIT = 20000
 
 
 class ResidueRing:
     """The quotient O/(modulus) of a ring of integers by a principal ideal.
 
-    `primes` lists a generator of every prime ideal P dividing the modulus,
-    each once.  Residues are integer coordinate tuples, multiplied through
-    coord_rows.  Every divisibility question about a residue is one reduction
-    against the ring's table of Hermite forms of P^k + (modulus), keyed by
-    (prime index, k) and built on first use.  x is a unit exactly when no
+    The modulus, the residues and `primes`, a generator of every prime
+    ideal P dividing the modulus, each once, are coordinate tuples.  Every
+    divisibility question about a residue is one reduction against the
+    ring's table of Hermite forms of P^k + (modulus), keyed by (prime
+    index, k) and built on first use.  x is a unit exactly when no
     listed P contains it: O is Dedekind, so x·O + (modulus) = O unless a
     maximal ideal holds both, and those holding the modulus are the primes.
     """
 
     __slots__ = ("ring", "modulus", "primes", "lattice", "size", "_one", "_prime_forms")
 
-    def __init__(self, ring: RingData, modulus: CyclotomicElement, primes):
+    def __init__(self, ring: RingData, modulus, primes):
         self.ring = ring
-        self.modulus = modulus
-        rows = ring.multiplication_rows(modulus)
-        h, _ = hermite_normal_form(rows)
+        self.modulus = tuple(modulus)
+        h, _ = hermite_normal_form(IntMatrix(ring.coord_rows(self.modulus)))
         if any(h.entries[i][i] <= 0 for i in range(ring.degree)):
             raise ValueError("modulus generates a rank deficient ideal")
         self.lattice = h
@@ -217,7 +207,7 @@ class ResidueRing:
         """Hermite form of P^k + (modulus) for P = primes[index]."""
         form = self._prime_forms.get((index, k))
         if form is None:
-            power = self.ring.coord_rows(self.power(self.ring.coords(self.primes[index]), k))
+            power = self.ring.coord_rows(self.power(self.primes[index], k))
             form, _ = hermite_normal_form(vstack(IntMatrix(power), self.lattice))
             self._prime_forms[(index, k)] = form
         return form
@@ -270,14 +260,12 @@ class ResidueRing:
 
 
 class PrimeData:
-    """A chosen generator of a prime ideal, with its coordinates, and local bookkeeping."""
+    """The coordinates of a chosen generator of a prime ideal, and local bookkeeping."""
 
-    __slots__ = ("element", "coords", "norm", "p", "degree", "m_valuation", "in_window",
-                 "class_label")
+    __slots__ = ("coords", "norm", "p", "degree", "m_valuation", "in_window", "class_label")
 
-    def __init__(self, element, norm, p, degree):
-        self.element = element
-        self.coords = tuple(int(c) for c in element.coeffs)
+    def __init__(self, coords, norm, p, degree):
+        self.coords = tuple(coords)
         self.norm = norm
         self.p = p
         self.degree = degree
@@ -351,8 +339,8 @@ def _ideal_generator_polys(ring: RingData, p: int, f: int) -> List[Tuple[int, ..
 
 
 @lru_cache(maxsize=None)
-def _prime_generators(ring: RingData, p: int, f: int) -> Tuple[CyclotomicElement, ...]:
-    """Canonical generators of the primes above p, each of norm p**f.
+def _prime_generators(ring: RingData, p: int, f: int) -> Tuple[Tuple[int, ...], ...]:
+    """Coordinates of canonical generators of the primes above p, each of norm p**f.
 
     Every prime is built as (p, h(zeta)) from an irreducible factor h of
     Phi_n mod p, and its lattice is the HNF of the multiplication rows of p
@@ -374,7 +362,7 @@ def _prime_generators(ring: RingData, p: int, f: int) -> Tuple[CyclotomicElement
     hands out one immutable RingData per field.
     """
     if ring.cyclo_n == 1:
-        return (ring.from_coords((p,)),)
+        return ((p,),)
     d = ring.degree
     target = p ** f
     phi = cyclotomic_polynomial(ring.cyclo_n)
@@ -390,11 +378,8 @@ def _prime_generators(ring: RingData, p: int, f: int) -> Tuple[CyclotomicElement
             for x in lattice_shell(basis, height)
             if abs(IntMatrix(ring.coord_rows(x)).determinant()) == target
         ))
-    torsion = [ring.coord_rows(ring.coords(u)) for u in ring.torsion_units()]
-    return tuple(
-        ring.from_coords(max(ring.times_rows(x, rows) for rows in torsion))
-        for _, x in sorted(firsts)
-    )
+    torsion = [ring.coord_rows(u) for u in ring.torsion_units()]
+    return tuple(max(ring.times_rows(x, rows) for rows in torsion) for _, x in sorted(firsts))
 
 
 def prime_window(ring: RingData, bound: int) -> List[PrimeData]:
@@ -430,16 +415,14 @@ class ShimuraSet:
     representative, and each class keeps that representative.
     """
 
-    __slots__ = ("ring", "modulus", "residues", "labels", "_class_of", "_mult",
-                 "_inverse", "identity", "representatives")
+    __slots__ = ("residues", "labels", "_class_of", "_mult", "_inverse", "identity",
+                 "representatives")
 
-    def __init__(self, ring: RingData, modulus: CyclotomicElement, primes):
-        self.ring = ring
-        self.modulus = modulus
+    def __init__(self, ring: RingData, modulus, primes):
         ring_mod = ResidueRing(ring, modulus, primes)
         units = [u for u in ring_mod.enumerate() if ring_mod.is_unit(u)]
         unit_set = set(units)
-        gens = [ring_mod.reduce(ring.coords(g)) for g in ring.unit_generators]
+        gens = [ring_mod.reduce(g) for g in ring.unit_generators]
         image = {ring_mod.one()}
         frontier = [ring_mod.one()]
         while frontier:
@@ -529,7 +512,7 @@ class FiniteLevelParams:
     """
 
     __slots__ = ("ring", "modulus", "bound", "cap", "primes", "places",
-                 "shimura", "working_modulus", "residues", "_stab_cache", "_anchor_cache")
+                 "shimura", "residues", "_stab_cache", "_anchor_cache")
 
     def __init__(self, field: str, modulus_coords, bound: int, cap: int):
         self.ring = ring = builtin_ring(field)
@@ -540,12 +523,14 @@ class FiniteLevelParams:
                 "modulus must be a coordinate tuple of length %d, such as %r, not %r"
                 % (ring.degree, (modulus_coords,) + (0,) * (ring.degree - 1), modulus_coords)
             ) from None
-        self.modulus = ring.from_coords(modulus_coords)
-        if self.modulus.is_zero():
+        values = [Fraction(c) for c in modulus_coords]
+        if len(values) != ring.degree:
+            raise ValueError("coordinate length mismatch")
+        if not any(values):
             raise ValueError("modulus must be nonzero")
-        if not self.modulus.is_integral():
+        if any(c.denominator != 1 for c in values):
             raise ValueError("modulus must be integral")
-        m = ring.coords(self.modulus)
+        self.modulus = m = tuple(map(int, values))
         norm = abs(IntMatrix(ring.coord_rows(m)).determinant())
         if norm == 1:
             raise ValueError("modulus must not be a unit")
@@ -566,14 +551,11 @@ class FiniteLevelParams:
             rows = ring.coord_rows(q.coords)
             for _ in range(cap):
                 working = ring.times_rows(working, rows)
-        self.working_modulus = ring.from_coords(working)
         for place in self.places:
             # P divides m only if its rational prime divides N(m)
             place.m_valuation = self._valuation_of(m, place.coords) if norm % place.p == 0 else 0
-        self.residues = ResidueRing(ring, self.working_modulus, [q.element for q in self.places])
-        self.shimura = ShimuraSet(
-            self.ring, self.modulus, [q.element for q in self.places if q.m_valuation]
-        )
+        self.residues = ResidueRing(ring, working, [q.coords for q in self.places])
+        self.shimura = ShimuraSet(ring, m, [q.coords for q in self.places if q.m_valuation])
         for place in self.places:
             if place.m_valuation == 0:
                 place.class_label = self.shimura.class_of(place.coords)
@@ -588,7 +570,7 @@ class FiniteLevelParams:
         for p in prime_factors(norm):
             f, _ = _splitting_data(self.ring, p)
             for gen in _prime_generators(self.ring, p, f):
-                if any(gen == q.element for q in window):
+                if any(gen == q.coords for q in window):
                     continue
                 place = PrimeData(gen, p ** f, p, f)
                 if self._valuation_of(m, place.coords):
@@ -1405,28 +1387,6 @@ class GroupoidArrow:
 
 def element_from_arrow(arrow: GroupoidArrow) -> AlgebraElement:
     return AlgebraElement(arrow.params, {arrow.orbit_key(): Coefficient.one()})
-
-
-class BCSystem:
-    """A finite model: a parameter set and its space of unit points."""
-
-    __slots__ = ("params",)
-
-    def __init__(self, params: FiniteLevelParams):
-        self.params = params
-
-    def unit_space_size(self) -> int:
-        return self.params.residues.size * len(self.params.shimura)
-
-    def unit_points(self):
-        residues = self.params.residues.enumerate()
-        return [
-            (rho, w) for rho in residues for w in self.params.shimura.labels
-        ]
-
-
-def build_finite_bc(params: FiniteLevelParams) -> BCSystem:
-    return BCSystem(params)
 
 
 # -- Samplers -----------------------------------------------------------------------

@@ -178,21 +178,13 @@ class OracleValue(NamedTuple):
 
 
 class ModularOracle:
-    """Callable wrapper around a modular function evaluator.
+    """Callable wrapper around a modular function evaluator."""
 
-    Attributes record what the consumer may rely on: the invariance group
-    of the function and whether values at complex multiplication points
-    are expected to be algebraic.
-    """
+    __slots__ = ("name", "_evaluate", "terms")
 
-    __slots__ = ("name", "invariance", "algebraic_at_cm", "_evaluate", "terms")
-
-    def __init__(self, name: str, invariance: str, algebraic_at_cm: bool,
-                 evaluate: Callable[[HalfPlanePoint], OracleValue],
+    def __init__(self, name: str, evaluate: Callable[[HalfPlanePoint], OracleValue],
                  terms: Optional[int] = None):
         self.name = name
-        self.invariance = invariance
-        self.algebraic_at_cm = algebraic_at_cm
         self._evaluate = evaluate
         self.terms = terms
 
@@ -232,6 +224,10 @@ def eisenstein_value(weight: int, point: HalfPlanePoint, terms: int = 40) -> Ora
 def j_oracle(terms: int = 30) -> ModularOracle:
     """Oracle for the j-invariant built from truncated integer series.
 
+    j is invariant under the integral Mobius transformations of
+    determinant one, and its values at complex multiplication points are
+    algebraic.
+
     The point is first reduced into the fundamental domain (exactly), so
     |q| <= exp(-pi * sqrt(3)) and thirty terms already give errors far
     below 1e-6.  The reported error bound combines the E4 and Delta tail
@@ -261,17 +257,15 @@ def j_oracle(terms: int = 30) -> ModularOracle:
         rel = 3 * e4_err / max(abs(e4_val), 1e-300) + d_err / abs(d_val)
         return OracleValue(value, 2.0 * abs(value) * (rel + rounding))
 
-    return ModularOracle(
-        name="j",
-        invariance="integral Mobius transformations of determinant one",
-        algebraic_at_cm=True,
-        evaluate=evaluate,
-        terms=terms,
-    )
+    return ModularOracle("j", evaluate, terms)
 
 
 def constant_oracle(value) -> ModularOracle:
-    """Oracle for a constant function, exact at every point."""
+    """Oracle for a constant function, exact at every point.
+
+    It is invariant under all Mobius transformations, and its value is
+    rational, so algebraic at complex multiplication points too.
+    """
     const = complex(Fraction(value))
 
     def evaluate(point: HalfPlanePoint) -> OracleValue:
@@ -279,10 +273,4 @@ def constant_oracle(value) -> ModularOracle:
             raise OracleDomainError("point is not in the upper half plane")
         return OracleValue(const, 0.0)
 
-    return ModularOracle(
-        name="constant(%s)" % Fraction(value),
-        invariance="all Mobius transformations",
-        algebraic_at_cm=True,
-        evaluate=evaluate,
-        terms=None,
-    )
+    return ModularOracle("constant(%s)" % Fraction(value), evaluate)

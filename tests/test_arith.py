@@ -36,6 +36,7 @@ from cmforge.arith import (
 )
 from cmforge.bc import build_params, sample_arrow, sample_unit_residue
 from cmforge.cm import cyclotomic_level
+from cmforge.cyclotomic import CyclotomicElement
 from cmforge.galois import c2_s3_scenario, cyclotomic_scenario, d4_scenario, load_scenario
 from cmforge.lattice import common_denominator, frac_inv
 from cmforge.modular import j_oracle
@@ -89,6 +90,10 @@ def test_cm_context_refusals():
         cm_context(build_params("Q", (2,), 5))
     with pytest.raises(ValueError, match="conductor 5"):
         cm_context(build_params("Q(zeta5)", (2, 0, 0, 0), 11))
+    # a Q(i) point over the Q(zeta5) ring: the summand basis is not that ring's
+    ctx = cm_context(build_params("Q(i)", (3, 0), 5))
+    with pytest.raises(ValueError, match="basis does not match"):
+        arith.CMContext(build_params("Q(zeta5)", (2, 0, 0, 0), 11), ctx.field, ctx.point, ctx.phi)
 
 
 def test_cyclotomic_level_reads_the_conductor():
@@ -207,6 +212,10 @@ def test_realize_matches_gsp_realization(modulus):
     """
     ctx = cm_context(build_params("Q(i)", (modulus, 0), 10))
     params, ring = ctx.params, ctx.params.ring
+
+    def field(coords):
+        return CyclotomicElement(ring.cyclo_n, coords)
+
     rng = random.Random(modulus)
     samples = [sample_unit_residue(params, rng) for _ in range(12)]
     samples += [place.coords for place in params.places]
@@ -215,7 +224,7 @@ def test_realize_matches_gsp_realization(modulus):
         if any(coords):
             samples.append(coords)
     for x in samples:
-        assert ctx.realize(x) == gsp_realization(ctx.point, ctx.phi, ring.from_coords(x))
+        assert ctx.realize(x) == gsp_realization(ctx.point, ctx.phi, field(x))
     for x, y in zip(samples, reversed(samples)):
         xy = ring.times_rows(x, ring.coord_rows(y))
         assert ctx.realize(x) * ctx.realize(y) == ctx.realize(xy)
@@ -223,7 +232,7 @@ def test_realize_matches_gsp_realization(modulus):
     with pytest.raises(ValueError):
         ctx.realize(zero)
     with pytest.raises(ValueError):
-        gsp_realization(ctx.point, ctx.phi, ring.from_coords(zero))
+        gsp_realization(ctx.point, ctx.phi, field(zero))
 
 
 def _congruent_by_fractions(ctx, m1, m2, p):

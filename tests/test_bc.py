@@ -24,6 +24,7 @@ from cmforge.bc import (
     GroupoidArrow,
     OrbitKey,
     ResidueRing,
+    RingData,
     _ideal_norms_q,
     _ideal_norms_qi,
     _ideal_norms_sieve,
@@ -33,7 +34,6 @@ from cmforge.bc import (
     _range_meets,
     _rational_primes,
     _splitting_data,
-    build_finite_bc,
     build_params,
     builtin_ring,
     convolve,
@@ -55,6 +55,17 @@ from cmforge.bc import (
 )
 from cmforge.cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from cmforge.lattice import IntMatrix, hermite_normal_form, lattice_contains, vstack
+
+
+def _field(ring, coords):
+    """The field element with the given power basis coordinates, as an oracle."""
+    return CyclotomicElement(ring.cyclo_n, coords)
+
+
+def _coords(element):
+    """The power basis coordinates of an integral field element."""
+    assert element.is_integral()
+    return tuple(int(c) for c in element.coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +144,19 @@ def test_torsion_unit_counts():
     assert len(builtin_ring("Q(zeta5)").torsion_units()) == 10
 
 
+@pytest.mark.parametrize("gens, orders, message", [
+    (((1, 1),), (4,), "norm != 1"),
+    (((0, 1),), (None,), "infinite order unit is torsion"),
+    (((0, 1),), (2,), "order mismatch"),
+    (((0, 1),), (8,), "smaller than declared"),
+    (((0, 1, 0),), (4,), "coordinate length mismatch"),
+    (((1, 1),), (), "one declared order"),
+])
+def test_unit_declaration_errors(gens, orders, message):
+    with pytest.raises(ValueError, match=message):
+        RingData("Q(i)", 4, gens, orders)
+
+
 def test_prime_window_rational():
     window = prime_window(builtin_ring("Q"), 13)
     assert [p.norm for p in window] == [2, 3, 5, 7, 11, 13]
@@ -140,7 +164,7 @@ def test_prime_window_rational():
 
 def test_prime_window_gaussian():
     window = prime_window(builtin_ring("Q(i)"), 13)
-    coeffs = [tuple(int(c) for c in p.element.coeffs) for p in window]
+    coeffs = [p.coords for p in window]
     assert coeffs == [(1, 1), (2, -1), (2, 1), (3, 0), (3, -2), (3, 2)]
     assert [p.norm for p in window] == [2, 5, 5, 9, 13, 13]
     assert [p.degree for p in window] == [1, 1, 1, 2, 1, 1]
@@ -150,21 +174,21 @@ def test_prime_window_quintic_cyclotomic():
     window = prime_window(builtin_ring("Q(zeta5)"), 11)
     # 5 ramifies with a single norm 5 prime, 11 splits completely
     assert [p.norm for p in window] == [5, 11, 11, 11, 11]
-    ram = window[0].element
+    ram = _field(builtin_ring("Q(zeta5)"), window[0].coords)
     assert abs(ram.norm()) == 5
 
 
 def test_prime_generators_generate_distinct_ideals():
-    window = prime_window(builtin_ring("Q(i)"), 13)
+    ring = builtin_ring("Q(i)")
+    window = prime_window(ring, 13)
     for i, a in enumerate(window):
         for b in window[i + 1:]:
-            assert not (a.element / b.element).is_integral() or not (
-                b.element / a.element
-            ).is_integral()
+            x, y = _field(ring, a.coords), _field(ring, b.coords)
+            assert not (x / y).is_integral() or not (y / x).is_integral()
 
 
 def _generator_list(window):
-    return [(q.norm, tuple(int(c) for c in q.element.coeffs)) for q in window]
+    return [(q.norm, q.coords) for q in window]
 
 
 def _digest(window):
@@ -221,7 +245,7 @@ def test_prime_window_at_bound_1000(windows_1000, name):
     ring = builtin_ring(name)
     assert [q.norm for q in window] == sorted(_prime_ideal_norms(ring, 1000))
     for q in window:
-        assert abs(q.element.norm()) == q.norm
+        assert abs(_field(ring, q.coords).norm()) == q.norm
     assert seconds < 10
 
 
@@ -274,7 +298,7 @@ def test_prime_window_against_sympy(windows_1000, name):
     phi = sympy.Poly(list(reversed(cyclotomic_polynomial(ring.cyclo_n))), x)
     by_p = {}
     for q in windows_1000[name][0]:
-        g = sympy.Poly(list(reversed([int(c) for c in q.element.coeffs])), x)
+        g = sympy.Poly(list(reversed(q.coords)), x)
         assert abs(sympy.resultant(phi, g)) == q.norm
         by_p.setdefault(q.p, []).append((q, g))
     for p, primes in by_p.items():
@@ -295,18 +319,20 @@ def test_prime_window_against_sympy(windows_1000, name):
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero"):
         build_params("Q", (0,), 3, cap=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not be a unit"):
         build_params("Q", (1,), 3, cap=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not be a unit"):
         build_params("Q(i)", (0, 1), 3, cap=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="prime bound"):
         build_params("Q", (2,), 1, cap=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="valuation cap"):
         build_params("Q", (2,), 3, cap=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="integral"):
         build_params("Q", (Fraction(1, 2),), 3, cap=1)
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        build_params("Q(i)", (3, 0, 0), 10)
 
 
 def test_bare_integer_modulus_names_the_tuple():
@@ -341,8 +367,7 @@ def test_residue_inverse_round_trip(params_qi):
 def _ideal_sum_is_unit(ring_mod, coords):
     """Reference: x is a unit when the HNF of x·O + modulus is the identity."""
     ring = ring_mod.ring
-    rows = ring.multiplication_rows(ring.from_coords(coords))
-    h, _ = hermite_normal_form(vstack(rows, ring_mod.lattice))
+    h, _ = hermite_normal_form(vstack(IntMatrix(ring.coord_rows(coords)), ring_mod.lattice))
     d = ring.degree
     return all(
         h.entries[i][j] == (1 if i == j else 0)
@@ -361,9 +386,9 @@ def _ideal_sum_is_unit(ring_mod, coords):
 def test_is_unit_matches_ideal_sum(level, samples):
     field, modulus, bound, cap = level
     params = build_params(field, modulus, bound, cap=cap)
-    assert params.residues.primes == tuple(q.element for q in params.places)
+    assert params.residues.primes == tuple(q.coords for q in params.places)
     assert params.shimura.residues.primes == tuple(
-        q.element for q in params.places if q.m_valuation
+        q.coords for q in params.places if q.m_valuation
     )
     rng = random.Random(83)
     for ring_mod in (params.residues, params.shimura.residues):
@@ -380,8 +405,8 @@ def test_is_unit_matches_ideal_sum(level, samples):
 
 def test_residue_ring_rejects_prime_off_the_modulus(params_qi):
     ring = params_qi.shimura.residues
-    five = params_qi.primes[1].element
-    assert abs(five.norm()) == 5
+    five = params_qi.primes[1].coords
+    assert abs(_field(ring.ring, five).norm()) == 5
     with pytest.raises(ValueError, match="does not divide"):
         ResidueRing(ring.ring, ring.modulus, ring.primes + (five,))
 
@@ -653,10 +678,9 @@ def test_coset_tables_match_brute_force(level, request):
         conductor = CyclotomicElement.one(params.ring.cyclo_n)
         for exact, place in zip(mask, params.places):
             if exact and place.m_valuation:
-                conductor = conductor * place.element ** place.m_valuation
-        h, _ = hermite_normal_form(
-            vstack(params.ring.multiplication_rows(conductor), sh.residues.lattice)
-        )
+                conductor = conductor * _field(params.ring, place.coords) ** place.m_valuation
+        rows = IntMatrix(params.ring.coord_rows(_coords(conductor)))
+        h, _ = hermite_normal_form(vstack(rows, sh.residues.lattice))
         stab = {
             label for u, label in sh._class_of.items()
             if lattice_contains(h, [a - b for a, b in zip(u, one)])
@@ -791,7 +815,7 @@ def test_orbit_key_same_on_cold_and_warm_anchor_cache(level, request):
     keys = [arrow.orbit_key() for arrow in arrows]
     # every pattern is cached now
     assert [arrow.orbit_key() for arrow in arrows] == keys
-    args = (params.ring.name, params.ring.coords(params.modulus), params.bound, params.cap)
+    args = (params.ring.name, params.modulus, params.bound, params.cap)
     for arrow, key in zip(arrows, keys):
         cold = build_params(*args)
         copy = GroupoidArrow(cold, arrow.unit, arrow.exponents, arrow.rho, arrow.w)
@@ -942,7 +966,7 @@ def _element_valuation(element, prime):
 
 def _pattern_matches(params, key, rho_elem):
     for (kind, v), place in zip(key.locals, params.places):
-        val = _element_valuation(rho_elem, place.element)
+        val = _element_valuation(rho_elem, _field(params.ring, place.coords))
         if kind == EXACT:
             if val is None or val != v:
                 return False
@@ -958,18 +982,18 @@ def _coset_matches(params, key, rho_elem, w):
     anchor = one
     exact_m = one
     for (kind, v), place in zip(key.locals, params.places):
-        anchor = anchor * place.element ** v
+        prime = _field(ring, place.coords)
+        anchor = anchor * prime ** v
         if kind == EXACT and place.m_valuation:
-            exact_m = exact_m * place.element ** place.m_valuation
+            exact_m = exact_m * prime ** place.m_valuation
     if exact_m == one:
         return w in key.wcoset
     gamma = rho_elem / anchor
     sh = params.shimura
-    lattice_rows = ring.multiplication_rows(exact_m)
+    lattice_rows = IntMatrix(ring.coord_rows(_coords(exact_m)))
     h, _ = hermite_normal_form(vstack(lattice_rows, sh.residues.lattice))
     for u in sh._class_of:
-        diff = [a - b for a, b in zip(ring.coords(ring.from_coords(u) - gamma), [0] * ring.degree)]
-        if lattice_contains(h, diff):
+        if lattice_contains(h, _coords(_field(ring, u) - gamma)):
             return sh.mult(w, sh._class_of[u]) in key.wcoset
     raise AssertionError("no unit matches the transporter at the exact part")
 
@@ -994,7 +1018,7 @@ def brute_convolve_value(f1, f2, exponents, rho_elem, w):
     for e_h in {key.exponents for key in f2.terms}:
         shift = CyclotomicElement.one(params.ring.cyclo_n)
         for e, place in zip(e_h, params.places):
-            shift = shift * place.element ** e
+            shift = shift * _field(params.ring, place.coords) ** e
         target = rho_elem * shift
         if not target.is_integral():
             continue
@@ -1013,11 +1037,11 @@ def _sample_concrete_point(params, rng, extra=1):
     unit = CyclotomicElement.one(ring.cyclo_n)
     while True:
         coords = tuple(rng.randint(-4, 4) for _ in range(ring.degree))
-        candidate = ring.from_coords(coords)
+        candidate = _field(ring, coords)
         if candidate.is_zero():
             continue
         if all(
-            _element_valuation(candidate, place.element) == 0
+            _element_valuation(candidate, _field(ring, place.coords)) == 0
             for place in params.places
         ):
             unit = candidate
@@ -1027,7 +1051,7 @@ def _sample_concrete_point(params, rng, extra=1):
         top = params.residue_cap(i) + extra
         v = rng.choice((0, 0, 1, top))
         if v:
-            rho = rho * place.element ** min(v, top)
+            rho = rho * _field(ring, place.coords) ** min(v, top)
     w = rng.choice(params.shimura.labels)
     return rho, w
 
@@ -1065,7 +1089,7 @@ def test_involution_matches_brute_force(params_qi):
             rho, w = _sample_concrete_point(params, rng)
             shift = CyclotomicElement.one(params.ring.cyclo_n)
             for e, place in zip(exponents, params.places):
-                shift = shift * place.element ** e
+                shift = shift * _field(params.ring, place.coords) ** e
             target = rho * shift
             if not target.is_integral():
                 continue
@@ -1300,28 +1324,21 @@ def test_residue_arithmetic_matches_field_arithmetic(level, orbit_key_levels):
     rng = random.Random(73)
     for ring_mod in (params.residues, params.shimura.residues):
         def reference(x):
-            return ring_mod.reduce(ring.coords(x))
+            return ring_mod.reduce(_coords(x))
 
         top = [ring_mod.lattice.entries[i][i] for i in range(ring.degree)]
         assert ring_mod.one() == reference(CyclotomicElement.one(ring.cyclo_n))
         for _ in range(30):
             a, b = (ring_mod.reduce([rng.randrange(t) for t in top]) for _ in range(2))
-            assert ring_mod.mul(a, b) == reference(ring.from_coords(a) * ring.from_coords(b))
+            assert ring_mod.mul(a, b) == reference(_field(ring, a) * _field(ring, b))
             if ring_mod.is_unit(a):
                 inv = ring_mod.inverse(a)
-                assert reference(ring.from_coords(a) * ring.from_coords(inv)) == ring_mod.one()
+                assert reference(_field(ring, a) * _field(ring, inv)) == ring_mod.one()
 
 
 def test_arrow_idele_norm(params_qi):
     arrow = GroupoidArrow(params_qi, (1, 0), (2, 1, 0, 0), (1, 0), "w0")
     assert arrow.idele_norm() == Fraction(4 * 5)
-
-
-def test_unit_space_enumeration(params_q, params_qi):
-    system = build_finite_bc(params_q)
-    points = system.unit_points()
-    assert len(points) == 72 == system.unit_space_size()
-    assert build_finite_bc(params_qi).unit_space_size() == 8100
 
 
 # -- Partition function ---------------------------------------------------------------------

@@ -193,8 +193,6 @@ def test_j_oracle_rejects_tiny_series():
 def test_oracle_metadata():
     oracle = j_oracle(20)
     assert oracle.name == "j"
-    assert oracle.algebraic_at_cm
-    assert "determinant one" in oracle.invariance
     assert oracle.terms == 20
 
 
