@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .cyclotomic import CyclotomicElement, matrix_determinant
+from .cyclotomic import CyclotomicElement
 from .galois import (
     FieldHandle,
     is_cm,
@@ -593,10 +593,13 @@ def reflex_determinant_oracle(t: CMType, a: CyclotomicElement) -> CyclotomicElem
 
     The module is the direct sum over phi of copies of the realization
     field, with the CM field acting on the phi-component through phi and
-    the reflex field acting by plain multiplication.  This computes honest
-    coordinates with Galois arithmetic and a Gaussian determinant over the
-    field, never consulting the character-lattice solve.  It is a test
-    oracle for the reflex norm: no library path calls it.
+    the reflex field acting by plain multiplication.  A vector of the
+    phi-component has coordinate phi^{-1}(vector), so in the basis of one
+    vector per component the matrix of a is diagonal by construction, with
+    entry phi^{-1}(a) on the phi-component, and its determinant is the
+    product of those entries.  This uses Galois arithmetic only, never the
+    character-lattice solve.  It is a test oracle for the reflex norm: no
+    library path calls it.
     """
     E = t.field
     s = E.scenario
@@ -606,17 +609,7 @@ def reflex_determinant_oracle(t: CMType, a: CyclotomicElement) -> CyclotomicElem
     estar = reflex_field(t)
     _check_in_field(a, estar)
     exponents = _embedding_exponents(E)
-    phi_exps = [exponents[E.embedding_index(f)] for f in sorted(t.phi, key=E.embedding_index)]
-    g = len(phi_exps)
-    # matrix of the a-action over the module basis (one basis vector per
-    # phi-component); coordinates of a vector in component phi are
-    # phi^{-1}(vector) since the field acts through phi there.
-    matrix = []
-    for row_exp in phi_exps:
-        inv = pow(row_exp, -1, n)
-        row = []
-        for col_exp in phi_exps:
-            component = a if col_exp == row_exp else CyclotomicElement.zero(n)
-            row.append(component.galois(inv))
-        matrix.append(row)
-    return matrix_determinant(matrix)
+    det = CyclotomicElement.one(n)
+    for f in t.phi:
+        det = det * a.galois(pow(exponents[E.embedding_index(f)], -1, n))
+    return det

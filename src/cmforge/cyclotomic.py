@@ -298,33 +298,3 @@ def multiplication_matrix(multiplier: CyclotomicElement, basis):
         cols.append(sol)
     return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
 
-
-def matrix_determinant(rows):
-    """Exact determinant of a square matrix over Q or over Q(zeta_n).
-
-    The package's one field determinant.  Entries are ints, Fractions or
-    CyclotomicElements of one level; the result is a Fraction for rational
-    entries and a CyclotomicElement otherwise.  Integer matrices that need an
-    integer answer use IntMatrix.determinant: Bareiss elimination keeps every
-    intermediate an integer and is about 25 times faster than Fraction
-    elimination on 4x4 to 12x12 integer matrices.
-    """
-    m = [[x if isinstance(x, CyclotomicElement) else Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    level = next((x.n for row in m for x in row if isinstance(x, CyclotomicElement)), None)
-    det = Fraction(1) if level is None else CyclotomicElement.one(level)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return det * 0  # the zero of the entries' field
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                factor = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] = m[r][k] - factor * m[c][k]
-    return det

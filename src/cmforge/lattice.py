@@ -12,7 +12,7 @@ No floating point is used anywhere here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 
@@ -676,21 +676,6 @@ def common_denominator(rows) -> int:
         for x in row:
             denom = lcm(denom, Fraction(x).denominator)
     return denom
-
-
-def clear_denominators(rows):
-    """Scale rational rows to primitive integer rows; returns IntMatrix."""
-    out = []
-    for row in rows:
-        denom = common_denominator([row])
-        ints = [int(Fraction(x) * denom) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return IntMatrix(out)
 
 
 def alternating_frobenius(M: IntMatrix):

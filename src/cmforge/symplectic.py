@@ -31,7 +31,7 @@ from .cm import (
     rho_phi,
     serre_group,
 )
-from .cyclotomic import CyclotomicElement, matrix_determinant, multiplication_matrix
+from .cyclotomic import CyclotomicElement, multiplication_matrix
 from .galois import FieldHandle, is_cm, maximal_totally_real_subfield
 from .lattice import (
     IntMatrix,
@@ -50,11 +50,9 @@ from .lattice import (
     vstack,
 )
 from .tori import (
-    Cocharacter,
     TorusMorphism,
     mu_tau,
     norm_morphism,
-    product_torus,
     subtorus_from_char_surjection,
     torus_of_field,
 )
@@ -270,11 +268,14 @@ def build_symplectic_space(fields, generators=None) -> SymplecticSpace:
 
     Each summand contributes the pairing (x, y) -> Tr(xi·x·y^ι) on its
     integral basis; the result is checked to be alternating and
-    nondegenerate before it is returned.
+    nondegenerate before it is returned.  ``generators``, when given, holds
+    one entry per field, None asking for the default generator.
     """
     fields = list(fields)
     if generators is None:
         generators = [None] * len(fields)
+    elif len(generators) != len(fields):
+        raise ValueError("one generator per field is required")
     summands = []
     for field, xi in zip(fields, generators):
         if xi is None:
@@ -295,7 +296,8 @@ def build_symplectic_space(fields, generators=None) -> SymplecticSpace:
         for j in range(dim):
             if rows[i][j] != -rows[j][i]:
                 raise AssertionError("trace pairing is not alternating")
-    if matrix_determinant(rows) == 0:
+    scale = common_denominator(rows)
+    if IntMatrix([[int(x * scale) for x in row] for row in rows]).determinant() == 0:
         raise AssertionError("trace pairing is degenerate")
     return SymplecticSpace(summands, rows)
 
@@ -574,11 +576,11 @@ def _annihilator_rows(E: FieldHandle) -> list:
 
 
 class CMPointData:
-    """A CM point for the Siegel datum: types, cocharacter, matrix model."""
+    """A CM point for the Siegel datum: one CM type, cocharacter, matrix model."""
 
     __slots__ = (
         "field",
-        "types",
+        "cm_type",
         "space",
         "torus",
         "mu",
@@ -597,18 +599,21 @@ class CMPointData:
         raise AttributeError("CMPointData is immutable")
 
     def __repr__(self):
-        names = ", ".join(t.field.name or "?" for t in self.types)
-        return f"CMPointData({self.field.name or '?'}; types on {names})"
+        type_field = self.cm_type.field.name or "?"
+        return f"CMPointData({self.field.name or '?'}; type on {type_field})"
 
 
 def build_cm_point(E: FieldHandle, *, generators=None) -> CMPointData:
-    """Search for a CM type collection realizing a point for the field.
+    """Search for the CM type realizing a point for the field.
 
     Candidates are primitive CM types on CM fields of the scenario whose
-    reflex field lands inside E; the first singleton making the universal
-    composite injective wins.  The search order is deterministic, so the
-    same field always produces the same point.  The symplectic ``space``
-    is built only when the scenario has a conductor, that is a cyclotomic
+    reflex field lands inside E; the first one making the universal
+    composite injective wins, and the point is built from that one type.
+    A field that no single primitive type serves is refused with
+    ValueError: collections of CM types in a product torus are not
+    supported.  The search order is deterministic, so the same field
+    always produces the same point.  The symplectic ``space`` is built
+    only when the scenario has a conductor, that is a cyclotomic
     realization; otherwise it is None.
     """
     ok, _ = is_cm(E)
@@ -637,62 +642,34 @@ def build_cm_point(E: FieldHandle, *, generators=None) -> CMPointData:
             sgr = serre_group(estar)
             inj = rho_phi(t, sgr).compose(induced_serre_morphism(sg, sgr))
             if inj.is_injective():
-                chosen = (t, sgr, inj)
+                chosen = (t, estar, sgr, inj)
                 break
         if chosen:
             break
     if chosen is None:
-        raise ValueError("no primitive CM type with reflex inside the field works")
-    t, sgr, inj = chosen
-    types = (t,)
-    reflex_serre = (sgr,)
-    torus = product_torus([torus_of_field(t.field)])
-    vector = []
-    for tt in types:
-        vector.extend(mu_phi(tt).vector)
-    mu = Cocharacter(torus, vector)
-    iota = s.iota
-    h_pair = (mu, mu.translate(iota))
-    compositum = reflex_field(types[0])
-    for tt in types[1:]:
-        compositum = compositum.compositum(reflex_field(tt))
-    if not E.contains_field(compositum):
-        raise AssertionError("reflex compositum escapes the CM field")
-    if mu.stabilizer() != compositum.subgroup:
-        raise AssertionError("the point cocharacter is not defined over the compositum")
-    injection = TorusMorphism(sg.torus, torus, _hcat([inj.char_map]), name="inj")
-    if not injection.is_injective():
-        raise AssertionError("assembled injection lost injectivity")
+        raise ValueError(
+            "no single primitive CM type with reflex inside the field works; "
+            "collections of CM types are not supported"
+        )
+    t, estar, sgr, inj = chosen
+    mu = mu_phi(t)
+    if mu.stabilizer() != estar.subgroup:
+        raise AssertionError("the point cocharacter is not defined over the reflex field")
     space = None
     if s.conductor is not None:
-        space = build_symplectic_space(
-            [tt.field for tt in types], generators=generators
-        )
+        space = build_symplectic_space([t.field], generators=generators)
     return CMPointData(
         field=E,
-        types=types,
+        cm_type=t,
         space=space,
-        torus=torus,
+        torus=inj.target,
         mu=mu,
-        h_pair=h_pair,
-        reflex_compositum=compositum,
-        injection=injection,
+        h_pair=(mu, mu.translate(s.iota)),
+        reflex_compositum=estar,
+        injection=inj,
         serre=sg,
-        reflex_serre=reflex_serre,
+        reflex_serre=sgr,
     )
-
-
-def _hcat(blocks):
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ValueError("row count mismatch in horizontal concatenation")
-    out = []
-    for i in range(rows):
-        row = []
-        for b in blocks:
-            row.extend(b.row(i))
-        out.append(row)
-    return IntMatrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -701,10 +678,10 @@ def _hcat(blocks):
 
 
 def phi_morphism(K: FieldHandle, point: CMPointData) -> TorusMorphism:
-    """Universal-quotient composite from T^K into the product torus.
+    """Universal-quotient composite from T^K into the point's torus.
 
     Chains the quotient projection, the norm between universal quotients,
-    the norms to the reflex quotients and the type morphisms.  The image
+    the norm to the reflex quotient and the type morphism.  The image
     is checked against the annihilator of the similitude subtorus, and the
     archimedean pair of the source is checked to land on the point's pair.
     """
@@ -712,15 +689,13 @@ def phi_morphism(K: FieldHandle, point: CMPointData) -> TorusMorphism:
         raise ValueError("the base field must contain the CM field of the point")
     sgk = point.serre if K == point.field else serre_group(K)
     down = induced_serre_morphism(sgk, point.serre)
-    blocks = []
-    for t, sgr in zip(point.types, point.reflex_serre):
-        step = induced_serre_morphism(point.serre, sgr)
-        composite = rho_phi(t, sgr).compose(step).compose(down).compose(sgk.projection)
-        for row in _annihilator_rows(t.field):
-            if any(composite.char_map.apply(row)):
-                raise AssertionError("image is not inside the similitude subtorus")
-        blocks.append(composite.char_map)
-    phi = TorusMorphism(sgk.projection.source, point.torus, _hcat(blocks), name="phi")
+    t, sgr = point.cm_type, point.reflex_serre
+    step = induced_serre_morphism(point.serre, sgr)
+    composite = rho_phi(t, sgr).compose(step).compose(down).compose(sgk.projection)
+    for row in _annihilator_rows(t.field):
+        if any(composite.char_map.apply(row)):
+            raise AssertionError("image is not inside the similitude subtorus")
+    phi = TorusMorphism(sgk.projection.source, point.torus, composite.char_map, name="phi")
     hodge = mu_tau(K)
     if phi.push_cocharacter(hodge) != point.mu:
         raise AssertionError("the morphism does not carry the Hodge cocharacter")
@@ -730,15 +705,13 @@ def phi_morphism(K: FieldHandle, point: CMPointData) -> TorusMorphism:
 
 
 def phi_explicit(K: FieldHandle, point: CMPointData) -> TorusMorphism:
-    """Closed-form composite: field norms to the reflex fields, then type norms."""
+    """Closed-form composite: field norm to the reflex field, then the reflex norm."""
     if not K.contains_field(point.field):
         raise ValueError("the base field must contain the CM field of the point")
-    blocks = []
-    for t in point.types:
-        composite = reflex_norm(t).compose(norm_morphism(K, reflex_field(t)))
-        blocks.append(composite.char_map)
+    t = point.cm_type
+    composite = reflex_norm(t).compose(norm_morphism(K, reflex_field(t)))
     tk = torus_of_field(K)
-    return TorusMorphism(tk, point.torus, _hcat(blocks), name="phi-explicit")
+    return TorusMorphism(tk, point.torus, composite.char_map, name="phi-explicit")
 
 
 def eta_morphism(K: FieldHandle, point: CMPointData) -> TorusMorphism:
@@ -749,7 +722,7 @@ def eta_morphism(K: FieldHandle, point: CMPointData) -> TorusMorphism:
 
 
 def character_map_report(K: FieldHandle, point: CMPointData) -> dict:
-    """Compare the three constructions of the map into the product torus."""
+    """Compare the three constructions of the map into the point's torus."""
     phi = phi_morphism(K, point)
     explicit = phi_explicit(K, point)
     eta = eta_morphism(K, point)
@@ -808,7 +781,7 @@ def gsp_realization(point: CMPointData, morphism: TorusMorphism, x) -> GSpElemen
     """Matrix of a morphism value acting on the symplectic space.
 
     Evaluates the character map on an exact point of the source field,
-    reassembles one element per summand and returns the block multiplication
+    reassembles the element of the type field and returns its multiplication
     matrix together with its similitude factor.  The realization layer
     computes the same matrix in integer coordinates
     (`cmforge.arith.CMContext.realize`); this cyclotomic path is the
@@ -817,13 +790,8 @@ def gsp_realization(point: CMPointData, morphism: TorusMorphism, x) -> GSpElemen
     if point.space is None:
         raise ValueError("the point has no matrix realization")
     values = realize_on_point(morphism, x)
-    elements = []
-    pos = 0
-    for t in point.types:
-        chunk = values[pos : pos + t.field.degree]
-        pos += t.field.degree
-        elements.append(element_from_embedding_values(t.field, chunk))
-    return point.space.multiplication_element(elements)
+    element = element_from_embedding_values(point.cm_type.field, values)
+    return point.space.multiplication_element([element])
 
 
 # ---------------------------------------------------------------------------
@@ -988,30 +956,6 @@ def _scaled_frobenius(num, den: int):
     integral = IntMatrix([[x // common for x in row] for row in num])
     u, invariants = alternating_frobenius(integral)
     return u, tuple(Fraction(d, den // common) for d in invariants)
-
-
-def adjoint_project(element):
-    """Canonical integer representative of a matrix modulo rational scalars.
-
-    Clears denominators with one common factor, divides out the content and
-    normalizes the sign of the first nonzero entry, so two matrices agree
-    up to Q^× exactly when their images coincide.
-    """
-    if isinstance(element, GSpElement):
-        ints = element.num
-    else:
-        denom = common_denominator(element)
-        ints = [[int(Fraction(x) * denom) for x in row] for row in element]
-    content = 0
-    for row in ints:
-        for x in row:
-            content = gcd(content, abs(x))
-    if content > 1:
-        ints = [[x // content for x in row] for row in ints]
-    lead = next((x for row in ints for x in row if x), 0)
-    if lead < 0:
-        ints = [[-x for x in row] for row in ints]
-    return tuple(tuple(row) for row in ints)
 
 
 # ---------------------------------------------------------------------------

@@ -237,43 +237,6 @@ def mu_tau(K: FieldHandle, tau=None) -> Cocharacter:
     return Cocharacter(t, vec)
 
 
-def product_torus(tori) -> Torus:
-    tori = list(tori)
-    if not tori:
-        raise ValueError("empty product")
-    s = tori[0].scenario
-    if any(t.scenario is not s for t in tori):
-        raise ValueError("mixed scenarios in product")
-    rank = sum(t.rank for t in tori)
-    action = {}
-    for g in s.elements:
-        m = [[0] * rank for _ in range(rank)]
-        off = 0
-        for t in tori:
-            block = t.act(g)
-            for i in range(t.rank):
-                for j in range(t.rank):
-                    m[off + i][off + j] = block[i, j]
-            off += t.rank
-        action[g] = IntMatrix(m)
-    labels = tuple((i, lab) for i, t in enumerate(tori) for lab in t.basis_labels)
-    return Torus(s, GModuleLattice(rank, action), labels, name="×".join(t.name for t in tori))
-
-
-def factor_projection(product: Torus, tori, index: int) -> TorusMorphism:
-    """Projection from a product torus onto one factor.
-
-    On characters this is the inclusion of the factor's X^* as a block.
-    """
-    tori = list(tori)
-    target = tori[index]
-    off = sum(t.rank for t in tori[:index])
-    m = [[0] * target.rank for _ in range(product.rank)]
-    for j in range(target.rank):
-        m[off + j][j] = 1
-    return TorusMorphism(product, target, IntMatrix(m), name=f"pr_{index}")
-
-
 def quotient_torus(t: Torus, char_sublattice: IntMatrix, name=""):
     """Quotient of a torus by the subtorus dual to a character sublattice.
 

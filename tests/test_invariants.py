@@ -5,11 +5,13 @@ Bare ``assert`` statements vanish under -O, so every correctness check in
 the checks still fire.  No module keeps a top-level import it never reads
 (no linter runs in CI, so this test stands in for one), and no function
 keeps a parameter its body never reads.  Every console script declared
-in pyproject.toml must point at a function that exists.
+in pyproject.toml must point at a function that exists, and so must every
+callable that the benchmark tracer in perfbench/spans.py wraps.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -100,6 +102,40 @@ def test_declared_scripts_resolve():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_resolve():
+    """Every callable the benchmark tracer wraps still exists in cmforge.
+
+    The tracer looks functions up with getattr and methods in their class
+    ``__dict__``; a name that no longer resolves would break only the
+    traced benchmark runs, so the module is loaded by path and each name
+    checked here, without installing the tracer.
+    """
+    spans = _load_spans()
+    for name in spans.MODULES:
+        importlib.import_module(f"cmforge.{name}")
+    missing = []
+    for layer, targets in spans.LAYERS:
+        for module, qualname in targets:
+            owner = importlib.import_module(f"cmforge.{module}")
+            cls_name, _, attr = qualname.rpartition(".")
+            if cls_name:
+                cls = getattr(owner, cls_name, None)
+                found = cls is not None and attr in cls.__dict__
+            else:
+                found = callable(getattr(owner, attr, None))
+            if not found:
+                missing.append(f"{layer}: {module}.{qualname}")
+    assert missing == []
 
 
 # The first line fails unless -O stripped it; the checks after it raise

@@ -14,7 +14,6 @@ from cmforge.lattice import (
     GModuleLattice,
     IntMatrix,
     alternating_frobenius,
-    clear_denominators,
     cokernel,
     frac_inv,
     frac_matmul,
@@ -544,13 +543,6 @@ def test_prime_factors_match_brute_force():
         assert prime_factors(n) == expected
         assert prime_factors(-n) == expected
     assert prime_factors(0) == []
-
-
-def test_clear_denominators():
-    from fractions import Fraction
-
-    got = clear_denominators([[Fraction(1, 2), Fraction(1, 3)], [Fraction(2), Fraction(4)]])
-    assert got == IntMatrix([[3, 2], [1, 2]])
 
 
 # -- G-module lattice ---------------------------------------------------------

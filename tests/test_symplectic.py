@@ -12,7 +12,6 @@ from cmforge.galois import builtin_scenario
 from cmforge.symplectic import (
     AdelicGSp,
     GSpElement,
-    adjoint_project,
     build_cm_point,
     build_symplectic_space,
     character_map_report,
@@ -189,6 +188,14 @@ def test_form_scaling_identity(qi_field):
         assert space.psi(g.apply(x), g.apply(y)) == g.similitude * space.psi(x, y)
 
 
+def test_generator_list_must_match_the_fields(qi_field):
+    i_half = CyclotomicElement.zeta(4, 1) * Fraction(1, 2)
+    with pytest.raises(ValueError, match="one generator per field"):
+        build_symplectic_space([qi_field, qi_field], generators=[i_half])
+    with pytest.raises(ValueError, match="one generator per field"):
+        build_symplectic_space([qi_field], generators=[i_half, i_half])
+
+
 def test_mixed_summands_must_share_multiplier(qi_field):
     space = build_symplectic_space([qi_field, qi_field])
     with pytest.raises(ValueError):
@@ -202,10 +209,21 @@ def test_mixed_summands_must_share_multiplier(qi_field):
 
 def test_cm_point_gaussian(qi_field):
     point = build_cm_point(qi_field)
+    assert point.cm_type.field == qi_field
+    assert point.torus.basis_labels == qi_field.embeddings
     assert point.mu.vector == (1, 0)
     assert point.reflex_compositum == qi_field
     assert point.space is not None
     assert point.injection.is_injective()
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_cm_point_refuses_fields_no_single_type_serves(n):
+    # no single primitive CM type embeds these fields' Serre groups; a point
+    # built from several types would live in a product torus, which is not
+    # supported
+    with pytest.raises(ValueError, match="no single primitive CM type.*not supported"):
+        build_cm_point(builtin_scenario(f"cyclotomic-{n}").ambient_field())
 
 
 def test_character_map_agreement_same_field(qi_field, z5_field):
@@ -432,16 +450,6 @@ def test_sampler_is_deterministic(qi_field):
     assert a == b
 
 
-def test_adjoint_projection_normalizes():
-    minus = [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]
-    assert adjoint_project(minus) == ((1, 0), (0, 1))
-    scaled = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 4)]]
-    assert adjoint_project(scaled) == ((2, 0), (0, 1))
-    assert adjoint_project(scaled) == adjoint_project(
-        [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(3, 2)]]
-    )
-
-
 # -- The group law on integer matrices over one denominator ------------------------
 
 
@@ -520,3 +528,51 @@ def test_group_law_rejects_non_similitudes(decompose_spaces):
         GSpElement(space, [[0] * 4 for _ in range(4)], 5)
     with pytest.raises(ValueError):
         GSpElement(space, GSpElement.identity(space).num, 0)
+
+
+# -- The CM point's outputs, pinned ---------------------------------------------
+
+# case -> (scenario key, CM field name or None for the ambient field, the
+#          field the character map is read over or None for the CM field
+#          itself, number of seeded gsp_realization draws,
+#          SHA-256 of the character-map report, mu and the h pair vectors,
+#          the injection's character map, the gram matrix, the sorted reflex
+#          subgroup and the drawn realizations as (num, den))
+CM_POINT_GOLDENS = {
+    "qi": ("qi", None, None, 3,
+        "4d072a9c772c0425f41a09353497441e0278eeb248dd1c1aed2fddc273cc249f"),
+    "zeta5": ("zeta5", None, None, 3,
+        "9765f0f2211a4b02e3fb55b02cd2b7c4c93685ae7cd79da127735197b4c179b6"),
+    "zeta7": ("cyclotomic-7", None, None, 0,
+        "d25687aee8dcac4ae5a4c186077e4a587c889e7eed6c3c10871680785125fd7c"),
+    "d4": ("d4", "E", None, 0,
+        "ee96ac7a6b1c4fe0886dd74817f2cd0884f12293f415399f45fe29de14d72511"),
+    "c2xs3": ("c2xs3", "Q(i)", "Q(i,2^(1/3))", 0,
+        "f523b9c0d1fbd839f57d35eeb2050a3c5eb546ec44f78f19aed4c81c174559be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CM_POINT_GOLDENS))
+def test_cm_point_outputs_are_unchanged(case):
+    key, sub, over, draws, golden = CM_POINT_GOLDENS[case]
+    scenario = builtin_scenario(key)
+    field = scenario.named(sub) if sub else scenario.ambient_field()
+    point = build_cm_point(field)
+    parts = [
+        character_map_report(scenario.named(over) if over else field, point),
+        point.mu.vector,
+        [h.vector for h in point.h_pair],
+        point.injection.char_map.entries,
+        point.space.gram if point.space is not None else None,
+        sorted(point.reflex_compositum.subgroup),
+    ]
+    if draws:
+        phi = phi_morphism(field, point)
+        n = scenario.conductor
+        degree = len(CyclotomicElement.one(n).coeffs)
+        rng = random.Random(61)
+        for _ in range(draws):
+            x = CyclotomicElement(n, [rng.randint(-3, 3) for _ in range(degree - 1)] + [1])
+            g = gsp_realization(point, phi, x)
+            parts.append((g.num, g.den))
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == golden

@@ -7,11 +7,9 @@ from cmforge.lattice import IntMatrix
 from cmforge.tori import (
     Cocharacter,
     TorusMorphism,
-    factor_projection,
     identity_morphism,
     mu_tau,
     norm_morphism,
-    product_torus,
     quotient_torus,
     subtorus_from_char_surjection,
     torus_of_field,
@@ -135,18 +133,6 @@ def test_cocharacter_translation_permutes_dual_basis(qi):
     mu = mu_tau(k)
     moved = mu.translate(qi.iota)
     assert moved.vector == (0, 1)
-
-
-def test_product_torus_blocks_and_projections(qi):
-    k = qi.ambient_field()
-    q = qi.rational_field()
-    tk, tq = torus_of_field(k), torus_of_field(q)
-    p = product_torus([tk, tq])
-    assert p.rank == 3
-    pr0 = factor_projection(p, [tk, tq], 0)
-    pr1 = factor_projection(p, [tk, tq], 1)
-    assert pr0.pull_character((5, 9)) == (5, 9, 0)
-    assert pr1.pull_character((4,)) == (0, 0, 4)
 
 
 def test_quotient_by_diagonal_character(qi):
