@@ -26,13 +26,10 @@ from .galois import (
 )
 from .lattice import (
     IntMatrix,
+    RowSpan,
     frac_nullspace,
     frac_solve,
-    hermite_normal_form,
-    lattice_contains,
-    right_kernel,
     solution_sublattice,
-    solve_int_rowspan,
 )
 from .tori import (
     Cocharacter,
@@ -170,18 +167,19 @@ class SerreGroup:
     """Quotient of T^K by the conjugation-symmetry conditions.
 
     Carries the quotient torus, the projection, the distinguished
-    cocharacter mu = pi(mu_tau) and the pair (mu, iota mu) that encodes the
-    archimedean parameter h.
+    cocharacter mu = pi(mu_tau), the pair (mu, iota mu) that encodes the
+    archimedean parameter h, and the symmetry sublattice as a `RowSpan`.
     """
 
-    def __init__(self, field, ambient, torus, projection, mu, h_pair, sublattice):
+    def __init__(self, field, ambient, torus, projection, mu, h_pair, span):
         self.field = field
         self.ambient = ambient
         self.torus = torus
         self.projection = projection
         self.mu = mu
         self.h_pair = h_pair
-        self.sublattice = sublattice
+        self.span = span
+        self.sublattice = span.basis
 
     @property
     def rank(self) -> int:
@@ -210,7 +208,21 @@ def serre_condition_violations(mu: Cocharacter):
 
 
 def serre_sublattice(K: FieldHandle) -> IntMatrix:
-    """Saturated sublattice of X^*(T^K) cut out by the symmetry conditions."""
+    """Saturated sublattice of X^*(T^K) cut out by the symmetry conditions.
+
+    The basis is in Hermite form, and is solved once per scenario and field.
+    """
+    return _serre_span(K).basis
+
+
+def _serre_span(K: FieldHandle) -> RowSpan:
+    """`serre_sublattice` with its Hermite form, memoised on the scenario."""
+    return K.scenario.memo(
+        ("serre-span", K.subgroup), lambda: RowSpan(_solve_serre_sublattice(K))
+    )
+
+
+def _solve_serre_sublattice(K: FieldHandle) -> IntMatrix:
     t = torus_of_field(K)
     s = K.scenario
     eye = IntMatrix.identity(t.rank)
@@ -225,14 +237,22 @@ def serre_sublattice(K: FieldHandle) -> IntMatrix:
 
 def serre_group(K: FieldHandle) -> SerreGroup:
     t = torus_of_field(K)
-    sub = serre_sublattice(K)
+    span = _serre_span(K)
     name = f"S^{K.name}" if K.name else "S"
-    quotient, projection = quotient_torus(t, sub, name=name)
+    quotient, projection = quotient_torus(t, span, name=name)
     mu = projection.push_cocharacter(mu_tau(K))
     h_pair = (mu, mu.translate(K.scenario.iota))
-    if not lattice_contains(sub, (1,) * t.rank):
+    if span.solve((1,) * t.rank) is None:
         raise AssertionError("norm character must satisfy the symmetry conditions")
-    return SerreGroup(K, t, quotient, projection, mu, h_pair, sub)
+    return SerreGroup(K, t, quotient, projection, mu, h_pair, span)
+
+
+def _cm_base(K: FieldHandle) -> FieldHandle:
+    """The maximal CM subfield of K, or Q when K has none."""
+    try:
+        return maximal_cm_subfield(K)
+    except ValueError:
+        return K.scenario.rational_field()
 
 
 def serre_kernel_report(K: FieldHandle) -> dict:
@@ -245,26 +265,21 @@ def serre_kernel_report(K: FieldHandle) -> dict:
     X^*(T^F) is a multiple of the norm character.  The report states
     whether that equality of sublattices actually holds.
     """
-    s = K.scenario
-    try:
-        E = maximal_cm_subfield(K)
-        F = maximal_totally_real_subfield(E)
-    except ValueError:
-        E = s.rational_field()
-        F = s.rational_field()
+    E = _cm_base(K)
+    F = maximal_totally_real_subfield(E) if E.degree > 1 else E
     sub = serre_sublattice(K)
     k_emb = K.embeddings
-    f_emb = F.embeddings
-    restrict = [[0] * len(k_emb) for _ in range(len(f_emb))]
+    restrict = [[0] * len(k_emb) for _ in F.embeddings]
     for j, rho in enumerate(k_emb):
         restrict[F.embedding_index(K.restrict_embedding(rho, F))][j] = 1
-    # solutions of R f = t * (1,...,1) as a sublattice of Z^{deg K + 1}
-    stacked = IntMatrix([row + [-1] for row in restrict])
-    solutions = right_kernel(stacked)
-    predicted = IntMatrix([r[: len(k_emb)] for r in solutions.entries])
-    actual_h, _ = hermite_normal_form(sub)
-    predicted_h, _ = hermite_normal_form(predicted)
-    exact = actual_h == predicted_h
+    # R f = t * (1,...,1) for an integer t exactly when every row of R f
+    # equals the first: (R_i - R_0) f = 0
+    predicted = solution_sublattice(
+        [IntMatrix([[a - b for a, b in zip(row, restrict[0])]]) for row in restrict[1:]],
+        ambient_rank=len(k_emb),
+    )
+    # both bases are Hermite forms, which are unique per lattice
+    exact = predicted == sub
     return {
         "field": K.name or "K",
         "max_cm_subfield": E.name or "E",
@@ -405,7 +420,7 @@ def induced_serre_morphism(sg_k: SerreGroup, sg_e: SerreGroup) -> TorusMorphism:
     cols = []
     for i in range(sg_e.sublattice.rows):
         image = n.char_map.apply(sg_e.sublattice.row(i))
-        coeffs = solve_int_rowspan(sg_k.sublattice, image)
+        coeffs = sg_k.span.solve(image)
         if coeffs is None:
             raise ValueError("norm does not respect the symmetry sublattices")
         cols.append(coeffs)
@@ -443,7 +458,6 @@ def lemmacomp_check(t: CMType, bigger: FieldHandle) -> bool:
 
 def serre_property_suite(K: FieldHandle, cm_type: CMType | None = None) -> dict:
     """Diagram checks for the universal quotient of K, reported per item."""
-    s = K.scenario
     checks = []
 
     def record(check_id, fn):
@@ -454,11 +468,9 @@ def serre_property_suite(K: FieldHandle, cm_type: CMType | None = None) -> dict:
         checks.append({"id": check_id, "pass": bool(ok), "detail": detail})
 
     sg_k = serre_group(K)
-    try:
-        E = maximal_cm_subfield(K)
-    except ValueError:
-        E = s.rational_field()
-    sg_e = serre_group(E)
+    E = _cm_base(K)
+    # a CM field is its own maximal CM subfield: its quotient is S^K again
+    sg_e = sg_k if E == K else serre_group(E)
 
     # Built once for the three checks below; a map that raises is not
     # cached, so each of them records the error.

@@ -28,12 +28,18 @@ class GaloisScenario:
     subgroup and Q to the full group.  ``conductor`` is n on the scenario of
     the n-th cyclotomic field, set by `cyclotomic_scenario` alone, and None
     on every other scenario; the name is only a label.
+
+    Data derived from a field of the scenario alone (the character lattice
+    of its torus, its Serre sublattice and the subgroup of its maximal CM
+    subfield) is memoised on the scenario through `memo`: each value is
+    built once and lives exactly as long as the scenario does.
     """
 
     def __init__(self, elements, table, iota, named_fields=None, name=""):
         self.elements = tuple(elements)
         self.name = name
         self.conductor = None
+        self._memo = {}
         self._index = {g: i for i, g in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate element labels")
@@ -135,6 +141,19 @@ class GaloisScenario:
                     found.add(bigger)
                     frontier.append(bigger)
         return sorted(found, key=lambda s: (len(s), sorted(self._index[g] for g in s)))
+
+    def memo(self, key, build):
+        """The value of ``build()`` memoised on this scenario under ``key``.
+
+        Callers key by the field's subgroup, plus whatever else the value
+        depends on.  A value is kept for the lifetime of the scenario.  No
+        value may refer back to the scenario (a torus, a field handle): the
+        reference cycle would leave each dropped scenario to the cyclic
+        garbage collector instead of freeing it with its last reference.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- fields ---------------------------------------------------------------
 
@@ -294,14 +313,27 @@ def maximal_cm_subfield(K: FieldHandle) -> FieldHandle:
 
     Subfields of K are subgroups containing H; a larger subgroup means a
     smaller field, so we want the unique minimal CM subgroup over H.  The
-    uniqueness claimed by the theory is asserted, not assumed.
+    uniqueness claimed by the theory is asserted, not assumed.  The subgroup
+    found, or its absence, is memoised on the scenario.
     """
+    s = K.scenario
+    found = s.memo(("max-cm", K.subgroup), lambda: _minimal_cm_subgroup(K))
+    if found is None:
+        raise ValueError("no CM subfield")
+    name = None
+    for fname, sub in s.named_fields.items():
+        if sub == found:
+            name = fname
+    return FieldHandle(s, found, name)
+
+
+def _minimal_cm_subgroup(K: FieldHandle):
     s = K.scenario
     cm_subgroups = [
         sub for sub in s.subgroups_containing(K.subgroup) if is_cm(FieldHandle(s, sub))[0]
     ]
     if not cm_subgroups:
-        raise ValueError("no CM subfield")
+        return None
     minimal = [
         sub for sub in cm_subgroups if not any(other < sub for other in cm_subgroups)
     ]
@@ -309,11 +341,7 @@ def maximal_cm_subfield(K: FieldHandle) -> FieldHandle:
         raise AssertionError(
             f"maximal CM subfield is not unique: {len(minimal)} minimal CM subgroups"
         )
-    name = None
-    for fname, sub in s.named_fields.items():
-        if sub == minimal[0]:
-            name = fname
-    return FieldHandle(s, minimal[0], name)
+    return minimal[0]
 
 
 def maximal_totally_real_subfield(E: FieldHandle) -> FieldHandle:

@@ -22,19 +22,25 @@ class IntMatrix:
     Supports the small amount of arithmetic the rest of the package needs:
     multiplication, addition, transpose, determinant (Bareiss), and
     construction helpers.  Instances are hashable and usable as dict keys.
+    Entries must be integral: an integral Fraction or float is stored as
+    its int, and any other value is refused.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        object.__setattr__(self, "entries", rows)
+        rows = []
+        for row in entries:
+            row = tuple(row)
+            ints = tuple(map(int, row))
+            if ints != row:
+                bad = next(x for x, i in zip(row, ints) if i != x)
+                raise ValueError(f"non-integral entry {bad!r}")
+            rows.append(ints)
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        object.__setattr__(self, "entries", tuple(rows))
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
 
@@ -44,15 +50,29 @@ class IntMatrix:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
+    def _of_rows(rows, cols: int) -> "IntMatrix":
+        """Wrap a tuple of rows, each a tuple of ``cols`` Python ints, unchecked.
+
+        For results built here from integer matrices, which hold ints by
+        construction; a matrix from outside goes through the checking
+        constructor.  ``cols`` is given because no row may be there to
+        read it off.
+        """
+        m = object.__new__(IntMatrix)
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        return m
+
+    @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix._of_rows(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n
+        )
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        m = IntMatrix([[0] * cols for _ in range(rows)])
-        # with no rows the width cannot be read off the entries
-        object.__setattr__(m, "cols", cols)
-        return m
+        return IntMatrix._of_rows(((0,) * cols,) * rows, cols)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -80,9 +100,11 @@ class IntMatrix:
                 raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
             if not (self.rows and other.rows):
                 return IntMatrix.zero(self.rows, other.cols)
-            return IntMatrix(int_matmul(self.entries, other.entries))
+            return IntMatrix._of_rows(int_matmul(self.entries, other.entries), other.cols)
         if isinstance(other, int):
-            return IntMatrix([[x * other for x in row] for row in self.entries])
+            return IntMatrix._of_rows(
+                tuple(tuple(x * other for x in row) for row in self.entries), self.cols
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -95,8 +117,12 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return IntMatrix._of_rows(
+            tuple(
+                tuple(a + b for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.entries, other.entries)
+            ),
+            self.cols,
         )
 
     def __sub__(self, other):
@@ -108,7 +134,9 @@ class IntMatrix:
         return self * -1
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)) if self.rows else [[] for _ in range(self.cols)])
+        if not self.rows:
+            return IntMatrix._of_rows(((),) * self.cols, 0)
+        return IntMatrix._of_rows(tuple(zip(*self.entries)), self.rows)
 
     def apply(self, vector):
         """Matrix times column vector, returned as a tuple."""
@@ -173,7 +201,7 @@ def vstack(*matrices: IntMatrix) -> IntMatrix:
     rows = []
     for m in mats:
         rows.extend(m.entries)
-    return IntMatrix(rows)
+    return IntMatrix._of_rows(tuple(rows), cols)
 
 
 class FGAbelianGroup:
@@ -387,7 +415,10 @@ def hermite_normal_form(M: IntMatrix):
         r += 1
         if r == rows:
             break
-    return (IntMatrix(a) if rows else IntMatrix.zero(0, cols)), IntMatrix(u)
+    return (
+        IntMatrix._of_rows(tuple(map(tuple, a)), cols),
+        IntMatrix._of_rows(tuple(map(tuple, u)), rows),
+    )
 
 
 def hnf_reduce(h: IntMatrix, vector):
@@ -477,7 +508,7 @@ def lattice_intersection(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 
 def solution_sublattice(conditions, ambient_rank=None) -> IntMatrix:
-    """Saturated basis of the common kernel of a list of operators.
+    """Saturated basis, in Hermite form, of the common kernel of operators.
 
     Each condition is an IntMatrix acting on column vectors of a common
     lattice Z^n; the result rows span {f : C·f = 0 for every C}.  With an
@@ -500,25 +531,60 @@ def solution_sublattice(conditions, ambient_rank=None) -> IntMatrix:
     return right_kernel(stacked)
 
 
+class RowSpan:
+    """The row lattice of ``basis``, with its Hermite form computed once.
+
+    ``hermite`` and ``transform`` are (H, U) of `hermite_normal_form`, so
+    U·basis = H; every solve against the basis reduces against that one H.
+    """
+
+    __slots__ = ("basis", "hermite", "transform")
+
+    def __init__(self, basis: IntMatrix):
+        self.basis = basis
+        self.hermite, self.transform = hermite_normal_form(basis)
+
+    def solve(self, vector):
+        """Integer coefficients expressing ``vector`` in the rows of the basis.
+
+        Returns a tuple c with c·basis = vector, or None when no integer
+        solution exists.  Reduce the vector against H: vector = y·H + r.  A
+        remainder r means the vector is off the lattice; otherwise
+        vector = y·H = (y·U)·basis, so c = y·U.  When the rows of the basis
+        are dependent the solution is one of many.
+        """
+        y, r = hnf_reduce(self.hermite, vector)
+        if any(r):
+            return None
+        return self.transform.act_on_row(y)
+
+    def is_saturated(self) -> bool:
+        """Whether Z^cols modulo the lattice is torsion-free.
+
+        The nonzero rows H* of H are independent, so unimodular column
+        operations take H* to (T | 0) with T square and nonsingular, and the
+        torsion has order |det T|.  The row Hermite form of H*ᵀ is one such
+        reduction, with Tᵀ upper triangular in its top rows, so the torsion
+        is trivial exactly when all of its pivots are 1.  When the pivots of
+        H* itself are all 1 its pivot minor is 1, and so is |det T|.
+        """
+        nonzero = [row for row in self.hermite.entries if any(row)]
+        pivots = [next(x for x in row if x) for row in nonzero]
+        if all(p == 1 for p in pivots):
+            return True
+        star = IntMatrix._of_rows(tuple(nonzero), self.hermite.cols)
+        h, _ = hermite_normal_form(star.transpose())
+        return all(row[i] == 1 for i, row in enumerate(h.entries[: len(nonzero)]))
+
+
 def lattice_contains(basis: IntMatrix, vector) -> bool:
     """Whether the integer row vector lies in the row span of ``basis``."""
     return solve_int_rowspan(basis, vector) is not None
 
 
 def solve_int_rowspan(basis: IntMatrix, vector):
-    """Integer coefficients expressing ``vector`` in the rows of ``basis``.
-
-    Returns a tuple c with c·basis = vector, or None when no integer
-    solution exists.  With U·basis = H in Hermite form, reduce the vector
-    against H: vector = y·H + r.  A remainder r means the vector is off the
-    lattice; otherwise vector = y·H = (y·U)·basis, so c = y·U.  When the
-    rows of ``basis`` are dependent the solution is one of many.
-    """
-    h, u = hermite_normal_form(basis)
-    y, r = hnf_reduce(h, vector)
-    if any(r):
-        return None
-    return u.act_on_row(y)
+    """`RowSpan.solve` for one vector; build a RowSpan to solve many."""
+    return RowSpan(basis).solve(vector)
 
 
 def lattice_shell(h, height: int):

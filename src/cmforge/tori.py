@@ -22,9 +22,9 @@ from .galois import FieldHandle, GaloisScenario
 from .lattice import (
     GModuleLattice,
     IntMatrix,
+    RowSpan,
     cokernel,
     hermite_normal_form,
-    solve_int_rowspan,
 )
 
 
@@ -192,18 +192,28 @@ def torus_of_field(K: FieldHandle) -> Torus:
     The Galois action permutes embeddings by left multiplication:
     act(sigma) has a 1 in row i, column j exactly when sigma sends
     embedding j to embedding i.
+
+    The character lattice is memoised on the scenario, keyed by the field's
+    subgroup, and lives as long as the scenario does.  Each call wraps it in
+    a Torus named after the handle, so handles of one subgroup under two
+    names share the lattice and keep their own names.  The memo holds no
+    object that refers back to the scenario, so it makes no reference cycle.
     """
     s = K.scenario
+    lattice = s.memo(("torus", K.subgroup), lambda: _permutation_lattice(K))
+    return Torus(s, lattice, K.embeddings, name=(K.name and f"T^{K.name}") or "")
+
+
+def _permutation_lattice(K: FieldHandle) -> GModuleLattice:
     n = K.degree
     action = {}
-    for g in s.elements:
+    for g in K.scenario.elements:
         m = [[0] * n for _ in range(n)]
         for j, coset in enumerate(K.embeddings):
             i = K.embedding_index(K.act(g, coset))
             m[i][j] = 1
         action[g] = IntMatrix(m)
-    lattice = GModuleLattice(n, action)
-    return Torus(s, lattice, K.embeddings, name=(K.name and f"T^{K.name}") or "")
+    return GModuleLattice(n, action)
 
 
 def norm_morphism(L: FieldHandle, K: FieldHandle) -> TorusMorphism:
@@ -237,25 +247,27 @@ def mu_tau(K: FieldHandle, tau=None) -> Cocharacter:
     return Cocharacter(t, vec)
 
 
-def quotient_torus(t: Torus, char_sublattice: IntMatrix, name=""):
+def quotient_torus(t: Torus, char_sublattice: IntMatrix | RowSpan, name=""):
     """Quotient of a torus by the subtorus dual to a character sublattice.
 
     ``char_sublattice`` rows span a saturated Galois-stable sublattice of
     X^*(t); the quotient torus has that sublattice as its character group
     (in the row basis) and the returned morphism is the projection
-    t -> quotient, whose character map is the inclusion.
+    t -> quotient, whose character map is the inclusion.  A `RowSpan` of
+    the rows may be passed instead, and its Hermite form is reused.
     """
-    b = char_sublattice
+    span = char_sublattice if isinstance(char_sublattice, RowSpan) else RowSpan(char_sublattice)
+    b = span.basis
     if b.cols != t.rank:
         raise ValueError("sublattice lives in the wrong lattice")
-    if b.rows and cokernel(b).torsion_factors != ():
+    if not span.is_saturated():
         raise ValueError("character sublattice is not saturated")
     action = {}
     for g in t.scenario.elements:
         cols = []
         for i in range(b.rows):
             image = t.act(g).apply(b.row(i))  # sigma of the i-th basis row
-            coeffs = solve_int_rowspan(b, image)
+            coeffs = span.solve(image)
             if coeffs is None:
                 raise ValueError(f"sublattice not stable under {g!r}")
             cols.append(coeffs)
@@ -281,13 +293,14 @@ def subtorus_from_char_surjection(t: Torus, surjection: IntMatrix, name="") -> T
         raise ValueError("surjection has wrong source rank")
     if cokernel(surjection.transpose()).invariant_factors != tuple():
         raise ValueError("character map is not surjective over Z")
+    span = RowSpan(surjection)
     action = {}
     for g in t.scenario.elements:
         # induced action A_g on Z^k satisfies A_g · S = S · act(sigma).
         rhs = surjection * t.act(g)
         rows = []
         for i in range(k):
-            coeffs = solve_int_rowspan(surjection, rhs.row(i))
+            coeffs = span.solve(rhs.row(i))
             if coeffs is None:
                 raise ValueError(f"quotient action undefined at {g!r}")
             rows.append(coeffs)

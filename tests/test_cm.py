@@ -1,7 +1,10 @@
 """CM types, reflex machinery, and the universal quotient torus."""
 
+import gc
 import hashlib
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -300,6 +303,53 @@ def test_property_suite_builds_the_induced_map_once(z5, monkeypatch):
         assert by_id[check_id]["detail"] == "norm does not respect the symmetry sublattices"
     assert by_id["serre-hodge-lift"]["pass"]
     assert by_id["serre-kernel-sequence"]["pass"]
+
+
+def test_suite_forms_one_hermite_form_per_solved_basis(monkeypatch):
+    """Every basis the d4 suite solves against has its Hermite form
+    computed once, however many vectors are solved against it."""
+    import cmforge.lattice as lattice
+    import cmforge.tori as tori
+
+    formed = Counter()
+    hermite = lattice.hermite_normal_form
+
+    def counted(m):
+        formed[m] += 1
+        return hermite(m)
+
+    for module in (lattice, tori):
+        monkeypatch.setattr(module, "hermite_normal_form", counted)
+    solves = Counter()
+    solve = lattice.RowSpan.solve
+
+    def recorded(span, vector):
+        solves[span.basis] += 1
+        return solve(span, vector)
+
+    monkeypatch.setattr(lattice.RowSpan, "solve", recorded)
+    assert serre_property_suite(builtin_scenario("d4").named("E"))["all_pass"]
+    assert sum(solves.values()) > len(solves)  # some basis is solved against repeatedly
+    assert {formed[basis] for basis in solves} == {1}
+
+
+def test_serre_memo_leaves_the_scenario_to_reference_counting():
+    """The memo holds nothing that refers back to the scenario, so a
+    scenario is freed with its last reference, without the cyclic GC."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for key, sub in (("d4", "E"), ("c2xs3", "Q(i,2^(1/3))"), ("zeta5", None)):
+            s = builtin_scenario(key)
+            K = s.named(sub) if sub else s.ambient_field()
+            serre_property_suite(K)
+            assert s._memo
+            ref = weakref.ref(s)
+            del s, K
+            assert ref() is None, key
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_norm_induced_map_is_isomorphism_to_max_cm(c2s3, z5):

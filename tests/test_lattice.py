@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from cmforge.lattice import (
     FGAbelianGroup,
     GModuleLattice,
     IntMatrix,
+    RowSpan,
     alternating_frobenius,
     cokernel,
     frac_inv,
@@ -343,6 +345,36 @@ def test_solve_int_rowspan():
     assert not lattice_contains(basis, (4, 10))
 
 
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_row_span_agrees_with_per_call_solve(m, data):
+    """One RowSpan solves every vector as a fresh solve_int_rowspan would,
+    on bases with a dependent row and on vectors off the lattice."""
+    combo = data.draw(st.lists(small_entries, min_size=m.rows, max_size=m.rows))
+    basis = vstack(m, IntMatrix([m.act_on_row(combo)]))  # the last row depends on the rest
+    span = RowSpan(basis)
+    assert span.is_saturated() is (cokernel(basis).torsion_factors == ())
+    entries = st.integers(min_value=-30, max_value=30)
+    on = basis.act_on_row(data.draw(st.lists(small_entries, min_size=basis.rows,
+                                             max_size=basis.rows)))
+    free = tuple(data.draw(st.lists(entries, min_size=basis.cols, max_size=basis.cols)))
+    for vec in (on, free):
+        got = span.solve(vec)
+        assert got == solve_int_rowspan(basis, vec)
+        assert lattice_contains(basis, vec) is (got is not None)
+        if got is not None:
+            assert basis.act_on_row(got) == tuple(vec)
+    assert span.solve(on) is not None
+    # Twice the lattice holds only vectors with even entries.
+    doubled = RowSpan(basis * 2)
+    odd = tuple(2 * x + (j == 0) for j, x in enumerate(on))
+    even = tuple(2 * x for x in on)
+    assert doubled.solve(odd) is None
+    assert solve_int_rowspan(basis * 2, odd) is None
+    assert doubled.solve(even) == solve_int_rowspan(basis * 2, even)
+    assert doubled.solve(even) is not None
+
+
 def _snf_solve(basis, vector):
     """Reference row-span solve through the Smith form: with U·basis·V = D,
     x·basis = vector for x = y·U exactly when y·D = vector·V."""
@@ -583,6 +615,30 @@ def test_empty_matrices_keep_their_width():
     assert (IntMatrix.zero(2, 4) * IntMatrix.zero(4, 0)).rows == 2
     assert vstack(empty, IntMatrix([[1, 2, 3]])) == IntMatrix([[1, 2, 3]])
     assert right_kernel(IntMatrix.identity(2)).cols == 2
+
+
+def test_transpose_keeps_empty_shapes():
+    shapes = (IntMatrix([[], []]), IntMatrix.zero(2, 0), IntMatrix.zero(0, 3), IntMatrix.zero(0, 0))
+    for m in shapes:
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        back = t.transpose()
+        assert (back.rows, back.cols) == (m.rows, m.cols)
+    t = IntMatrix([[1, 2, 3], [4, 5, 6]]).transpose()
+    assert t == IntMatrix([[1, 4], [2, 5], [3, 6]]) and (t.rows, t.cols) == (3, 2)
+
+
+def test_intmatrix_refuses_non_integral_entries():
+    with pytest.raises(ValueError, match="non-integral entry 2.5"):
+        IntMatrix([[1, 2.5]])
+    with pytest.raises(ValueError, match="non-integral"):
+        IntMatrix([[0], [Fraction(1, 3)]])
+    # integral values of other types are taken as the integers they are
+    m = IntMatrix([[Fraction(4, 2), 3.0]])
+    assert m == IntMatrix([[2, 3]])
+    assert all(type(x) is int for x in m.row(0))
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
 
 
 # -- Alternating congruence normal form ---------------------------------------

@@ -135,6 +135,22 @@ def test_cocharacter_translation_permutes_dual_basis(qi):
     assert moved.vector == (0, 1)
 
 
+def test_torus_of_field_is_memoised_on_its_scenario():
+    d4 = builtin_scenario("d4")
+    E = d4.named("E")
+    t = torus_of_field(E)
+    assert torus_of_field(d4.named("E")).lattice is t.lattice
+    fresh = torus_of_field(builtin_scenario("d4").named("E"))
+    assert fresh.lattice is not t.lattice
+    assert fresh.basis_labels == t.basis_labels
+    assert fresh.lattice.action == t.lattice.action
+    # one subgroup under two names: one lattice, each torus under its own name
+    renamed = torus_of_field(d4.field(E.subgroup, name="E'"))
+    assert renamed.lattice is t.lattice
+    assert (t.name, renamed.name) == ("T^E", "T^E'")
+    assert renamed == t
+
+
 def test_quotient_by_diagonal_character(qi):
     k = qi.ambient_field()
     t = torus_of_field(k)
