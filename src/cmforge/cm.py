@@ -14,7 +14,6 @@ the lattice solve.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .cyclotomic import CyclotomicElement
@@ -27,8 +26,6 @@ from .galois import (
 from .lattice import (
     IntMatrix,
     RowSpan,
-    frac_nullspace,
-    frac_solve,
     solution_sublattice,
 )
 from .tori import (
@@ -292,22 +289,23 @@ def serre_kernel_report(K: FieldHandle) -> dict:
     }
 
 
-def serre_kernel_check(K: FieldHandle) -> bool:
-    return serre_kernel_report(K)["exact"]
-
-
 # ---------------------------------------------------------------------------
 # The universal property
 # ---------------------------------------------------------------------------
 
 
 def universal_rho(sg: SerreGroup, target: Torus, mu: Cocharacter) -> TorusMorphism:
-    """Unique morphism rho with rho(mu_sg) = mu, solved from scratch.
+    """Unique morphism rho with rho(mu_sg) = mu, solved from the orbit of mu_sg.
 
-    The defining constraints: the character map intertwines the Galois
-    actions, and the distinguished cocharacter pushes onto mu.  The linear
-    system is solved exactly; a nontrivial homogeneous solution space would
-    contradict uniqueness and trips an assertion.
+    Equivariance gives rho(g·mu_sg) = g·mu for every g, so the character
+    map M solves V·M = W, where the rows of V are the g·mu_sg and the rows
+    of W are the g·mu.  Row i of M is c·W for the integer c with c·V = e_i.
+
+    The orbit of mu_sg spans X_*(S), which makes M unique and integral:
+    mu_sg is the image of e_tau under the projection T^K -> S, the orbit
+    of e_tau is the basis {e_sigma} of X_*(T^K), and the projection is onto
+    on cocharacters because the symmetry sublattice is saturated.  A unit
+    vector outside the orbit lattice therefore trips an assertion.
     """
     if mu.torus != target:
         raise ValueError("cocharacter must live on the target torus")
@@ -316,39 +314,19 @@ def universal_rho(sg: SerreGroup, target: Torus, mu: Cocharacter) -> TorusMorphi
     bad = serre_condition_violations(mu)
     if bad:
         raise ValueError(f"symmetry condition fails at {bad[0]!r}")
-    s = sg.field.scenario
-    rs, rt = sg.torus.rank, target.rank
-
-    def idx(i, j):
-        return i * rt + j
-
-    rows, rhs = [], []
-    for g in s.elements:
-        a, b = sg.torus.act(g), target.act(g)
-        for i in range(rs):
-            for j in range(rt):
-                row = [Fraction(0)] * (rs * rt)
-                for k in range(rs):
-                    row[idx(k, j)] += a[i, k]
-                for k in range(rt):
-                    row[idx(i, k)] -= b[k, j]
-                rows.append(row)
-                rhs.append(Fraction(0))
-    for j in range(rt):
-        row = [Fraction(0)] * (rs * rt)
-        for i in range(rs):
-            row[idx(i, j)] = Fraction(sg.mu.vector[i])
-        rows.append(row)
-        rhs.append(Fraction(mu.vector[j]))
-
-    sol = frac_solve(rows, rhs)
-    if sol is None:
+    elements = sg.field.scenario.elements
+    v = IntMatrix([sg.torus.act_cocharacter(g, sg.mu.vector) for g in elements])
+    w = IntMatrix([target.act_cocharacter(g, mu.vector) for g in elements])
+    orbit = RowSpan(v)
+    rows = []
+    for unit in IntMatrix.identity(sg.rank).entries:
+        c = orbit.solve(unit)
+        if c is None:
+            raise AssertionError("the orbit of mu_S must span X_*(S)")
+        rows.append(w.act_on_row(c))
+    m = IntMatrix(rows)
+    if v * m != w:
         raise AssertionError("universal morphism must exist")
-    if frac_nullspace(rows):
-        raise AssertionError("universal morphism must be unique")
-    if any(x.denominator != 1 for x in sol):
-        raise AssertionError("universal morphism must be integral")
-    m = IntMatrix([[int(sol[idx(i, j)]) for j in range(rt)] for i in range(rs)])
     rho = TorusMorphism(sg.torus, target, m, name="rho")
     if rho.push_cocharacter(sg.mu) != mu:
         raise AssertionError("universal morphism must carry mu_S to mu")

@@ -629,11 +629,15 @@ def prime_factors(n: int) -> list:
 
 
 def int_matrix_inverse(M: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, exact."""
-    if not M.is_unimodular():
+    """Inverse of a unimodular integer matrix, exact.
+
+    The row Hermite form of a unimodular M is the identity, so its
+    transform U satisfies U·M = I.
+    """
+    h, u = hermite_normal_form(M)
+    if M.rows != M.cols or h != IntMatrix.identity(M.rows):
         raise ValueError("matrix is not unimodular")
-    inv = frac_inv(frac_matrix(M.entries))
-    return IntMatrix([[int(x) for x in row] for row in inv])
+    return u
 
 
 # ---------------------------------------------------------------------------

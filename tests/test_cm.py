@@ -27,7 +27,6 @@ from cmforge.cm import (
     reflex_norm_closed_form,
     rho_phi,
     serre_group,
-    serre_kernel_check,
     serre_kernel_report,
     serre_property_suite,
     serre_sublattice,
@@ -58,6 +57,22 @@ def type_with_indices(field, indices):
     return next(
         t for t in enumerate_cm_types(field) if t.indices() == tuple(indices)
     )
+
+
+# Scenarios whose CM subfields carry the 88 primitive CM types below.
+TYPE_SCENARIOS = (
+    "cyclotomic-5", "cyclotomic-7", "cyclotomic-8", "cyclotomic-12", "cyclotomic-15",
+    "cyclotomic-16", "cyclotomic-20", "d4", "c2xs3",
+)
+
+
+def primitive_types(key):
+    """Every primitive CM type on every CM subfield of a builtin scenario."""
+    s = builtin_scenario(key)
+    for sub in sorted(s.subgroups_containing(frozenset({s.identity})), key=sorted):
+        F = s.field(sub)
+        if is_cm(F)[0]:
+            yield from (t for t in enumerate_cm_types(F) if is_primitive(t))
 
 
 # -- CM types ---------------------------------------------------------------
@@ -160,8 +175,8 @@ def test_sextic_quotient_characters_are_fiberwise_constant(c2s3):
 
 
 def test_kernel_sequence_reports(qi, z5, c2s3):
-    assert serre_kernel_check(qi.ambient_field())
-    assert serre_kernel_check(z5.ambient_field())
+    assert serre_kernel_report(qi.ambient_field())["exact"]
+    assert serre_kernel_report(z5.ambient_field())["exact"]
     r5 = serre_kernel_report(z5.ambient_field())
     assert r5["kernel_rank_predicted"] == r5["kernel_rank_actual"] == 1
     sextic = serre_kernel_report(c2s3.named("Q(i,2^(1/3))"))
@@ -220,10 +235,28 @@ def test_zeta5_reflex_norm_frozen_matrix(z5):
     assert reflex_norm(t).char_map == expected
 
 
-def test_reflex_norm_agrees_with_closed_form(qi, z5):
-    for scenario, idx in ((qi, (0,)), (z5, (0, 1)), (z5, (1, 3))):
-        t = type_with_indices(scenario.ambient_field(), idx)
-        assert reflex_norm(t).char_map == reflex_norm_closed_form(t).char_map
+def test_reflex_norm_agrees_with_closed_form():
+    """The closed form is norm ∘ restriction and solves nothing."""
+    types = [t for key in TYPE_SCENARIOS for t in primitive_types(key)]
+    assert len(types) == 88
+    for t in types:
+        assert reflex_norm(t).char_map == reflex_norm_closed_form(t).char_map, t
+
+
+# SHA-256 of the universal morphism's and the reflex norm's character maps
+# for every type of TYPE_SCENARIOS, from the Fraction-system solve.
+UNIVERSAL_MAPS_SHA = "0c11d0f18a027f6143d5ff89be85467a755721ba37e8ed4e6303d43336cdf17f"
+
+
+def test_universal_maps_are_unchanged():
+    maps = [
+        (key, t.indices(), sorted(t.field.subgroup),
+         rho_phi(t).char_map.entries, reflex_norm(t).char_map.entries)
+        for key in TYPE_SCENARIOS
+        for t in primitive_types(key)
+    ]
+    assert len(maps) == 88
+    assert _sha256(maps) == UNIVERSAL_MAPS_SHA
 
 
 def test_reflex_norm_against_determinant_oracle(z5, qi):

@@ -550,6 +550,26 @@ def test_int_matrix_inverse():
     assert m * int_matrix_inverse(m) == IntMatrix.identity(3)
 
 
+def test_int_matrix_inverse_round_trips_against_rational_inverse():
+    """Products of random unimodular matrices in dimensions 1–6, inverted
+    through the Hermite transform and through Gauss–Jordan over Q."""
+    rng = random.Random(37)
+    for trial in range(200):
+        n = 1 + trial % 6
+        m = random_unimodular(n, rng) * random_unimodular(n, rng)
+        inv = int_matrix_inverse(m)
+        assert inv * m == m * inv == IntMatrix.identity(n)
+        assert frac_matrix(inv.entries) == frac_inv(frac_matrix(m.entries))
+
+
+@pytest.mark.parametrize("rows", [
+    [[2]], [[0]], [[1, 0], [0, 2]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0]],
+], ids=["2", "0", "index-2", "singular", "non-square"])
+def test_int_matrix_inverse_refuses_non_unimodular(rows):
+    with pytest.raises(ValueError, match="not unimodular"):
+        int_matrix_inverse(IntMatrix(rows))
+
+
 @pytest.mark.parametrize("rows", [
     [[1]], [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],

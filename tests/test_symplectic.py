@@ -217,13 +217,17 @@ def test_cm_point_gaussian(qi_field):
     assert point.injection.is_injective()
 
 
-@pytest.mark.parametrize("n", [8, 12])
-def test_cm_point_refuses_fields_no_single_type_serves(n):
+@pytest.mark.parametrize(
+    "key",
+    ["cyclotomic-8", "cyclotomic-12", "cyclotomic-15", "cyclotomic-16", "cyclotomic-20", "d4"],
+    ids=lambda key: key.removeprefix("cyclotomic-"),
+)
+def test_cm_point_refuses_fields_no_single_type_serves(key):
     # no single primitive CM type embeds these fields' Serre groups; a point
     # built from several types would live in a product torus, which is not
     # supported
     with pytest.raises(ValueError, match="no single primitive CM type.*not supported"):
-        build_cm_point(builtin_scenario(f"cyclotomic-{n}").ambient_field())
+        build_cm_point(builtin_scenario(key).ambient_field())
 
 
 def test_character_map_agreement_same_field(qi_field, z5_field):
