@@ -673,11 +673,6 @@ class FiniteLevelParams:
         self._stab_cache[exact_mask] = table
         return table
 
-    def stabilizer_image(self, exact_mask: Tuple[bool, ...]) -> frozenset:
-        """Image in the ray classes of units congruent to 1 where required:
-        the coset of the identity in the coset table of the mask."""
-        return frozenset(self._coset_table(exact_mask)[self.shimura.identity])
-
     def saturate_coset(self, labels: Iterable[str], exact_mask) -> Tuple[str, ...]:
         """The smallest union of stabilizer cosets holding the labels.
 
@@ -1385,10 +1380,6 @@ class GroupoidArrow:
         )
 
 
-def element_from_arrow(arrow: GroupoidArrow) -> AlgebraElement:
-    return AlgebraElement(arrow.params, {arrow.orbit_key(): Coefficient.one()})
-
-
 # -- Samplers -----------------------------------------------------------------------
 
 
@@ -1548,6 +1539,8 @@ def partition_function(
     beta_f = Fraction(beta)
     if beta_f <= 1:
         raise ValueError("the partition function requires beta > 1")
+    if bound < 1:
+        raise ValueError("the partition function requires bound >= 1")
     name = params.ring.name
     float_beta = float(beta_f)
     total = 0.0

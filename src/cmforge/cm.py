@@ -526,8 +526,7 @@ def cyclotomic_level(scenario) -> int:
     """Modulus n for scenarios realized on the n-th cyclotomic field.
 
     n is ``scenario.conductor``, which only `galois.cyclotomic_scenario`
-    sets (and `galois.load_scenario` through it); the scenario's name is
-    not read.
+    sets; the scenario's name is not read.
     """
     if scenario.conductor is None:
         raise ValueError("scenario has no cyclotomic realization")

@@ -15,7 +15,6 @@ a D4 scenario containing a non-Galois CM quartic.
 
 from __future__ import annotations
 
-import json
 from math import gcd
 
 
@@ -304,10 +303,6 @@ def is_cm(K: FieldHandle):
     return True, c
 
 
-def is_cm_or_totally_real(K: FieldHandle) -> bool:
-    return is_totally_real(K) or is_cm(K)[0]
-
-
 def maximal_cm_subfield(K: FieldHandle) -> FieldHandle:
     """The largest CM field inside K; error when there is none.
 
@@ -468,46 +463,3 @@ def builtin_scenario(key: str) -> GaloisScenario:
     if key not in BUILTIN_SCENARIOS:
         raise KeyError(f"unknown builtin scenario {key!r}")
     return BUILTIN_SCENARIOS[key]()
-
-
-# ---------------------------------------------------------------------------
-# Scenario files
-# ---------------------------------------------------------------------------
-
-
-def load_scenario(source) -> GaloisScenario:
-    """Build a scenario from a JSON file path, JSON string, or dict.
-
-    Schema: {"cyclotomic_n": n} or {"group_table": {...}, "iota": label,
-    "fields": {name: [labels]}}.  The table maps "a,b" keys to products.
-    """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = source
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, TypeError):
-            pass
-        data = json.loads(text)
-    if "cyclotomic_n" in data:
-        scen = cyclotomic_scenario(int(data["cyclotomic_n"]))
-        for fname, sub in data.get("fields", {}).items():
-            scen.named_fields[fname] = scen._validated_subgroup(sub)
-        return scen
-    if "group_table" not in data or "iota" not in data:
-        raise ValueError("scenario file needs cyclotomic_n or group_table + iota")
-    raw = data["group_table"]
-    table = {}
-    elements = sorted({k.split(",")[0] for k in raw} | {k.split(",")[1] for k in raw})
-    for key, val in raw.items():
-        a, b = key.split(",")
-        table[a, b] = val
-    return GaloisScenario(
-        elements,
-        table,
-        data["iota"],
-        data.get("fields", {}),
-        name=data.get("name", "custom"),
-    )

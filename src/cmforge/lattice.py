@@ -204,62 +204,6 @@ def vstack(*matrices: IntMatrix) -> IntMatrix:
     return IntMatrix._of_rows(tuple(rows), cols)
 
 
-class FGAbelianGroup:
-    """Finitely generated abelian group given by its invariant factors.
-
-    ``invariant_factors`` is the chain d_1 | d_2 | ... with trivial factors
-    (= 1) removed and free factors encoded as 0, listed last.
-    """
-
-    __slots__ = ("invariant_factors",)
-
-    def __init__(self, factors):
-        factors = [int(d) for d in factors]
-        if any(d < 0 for d in factors):
-            raise ValueError("invariant factors must be non-negative")
-        torsion = [d for d in factors if d > 1]
-        free = [d for d in factors if d == 0]
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a != 0:
-                raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
-        object.__setattr__(self, "invariant_factors", tuple(torsion + free))
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("FGAbelianGroup is immutable")
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d == 0)
-
-    @property
-    def torsion_factors(self):
-        return tuple(d for d in self.invariant_factors if d > 0)
-
-    def order(self):
-        """Group order, or None when the group is infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion_factors:
-            n *= d
-        return n
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FGAbelianGroup)
-            and self.invariant_factors == other.invariant_factors
-        )
-
-    def __hash__(self):
-        return hash(self.invariant_factors)
-
-    def __repr__(self):
-        return f"FGAbelianGroup({list(self.invariant_factors)})"
-
-
 class GModuleLattice:
     """A lattice Z^rank with a finite group acting by unimodular matrices.
 
@@ -290,21 +234,8 @@ class GModuleLattice:
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("GModuleLattice is immutable")
 
-    @property
-    def group_order(self) -> int:
-        return len(self.elements)
-
     def act(self, g) -> IntMatrix:
         return self.action[g]
-
-    def check_homomorphism(self, multiply, identity) -> None:
-        """Assert action(g·h) = action(g)·action(h) over the whole group."""
-        if self.action[identity] != IntMatrix.identity(self.rank):
-            raise AssertionError("action at the identity is not the identity matrix")
-        for g in self.elements:
-            for h in self.elements:
-                if self.action[multiply(g, h)] != self.action[g] * self.action[h]:
-                    raise AssertionError(f"action is not a homomorphism at ({g!r}, {h!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +243,10 @@ class GModuleLattice:
 # ---------------------------------------------------------------------------
 
 
+# No library path calls the Smith form; the Hermite form answers every
+# question the library asks.  It stays because perfbench/spans.py names it
+# as the lattice.snf layer and tests read its diagonal as a reference for
+# cokernels and saturation (ROADMAP items 8 and 17 stage 2).
 def smith_normal_form(M: IntMatrix):
     """Return (U, D, V) with U·M·V = D, U, V unimodular, D diagonal.
 
@@ -474,15 +409,6 @@ def right_kernel(M: IntMatrix) -> IntMatrix:
     return kernel_lattice(M.transpose())
 
 
-def cokernel(M: IntMatrix) -> FGAbelianGroup:
-    """Invariant factors of Z^cols modulo the row span of M."""
-    _, d, _ = smith_normal_form(M)
-    n = min(M.rows, M.cols)
-    diag = [d.entries[i][i] for i in range(n)]
-    rank = sum(1 for x in diag if x)
-    return FGAbelianGroup([x for x in diag if x] + [0] * (M.cols - rank))
-
-
 def lattice_intersection(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     """Basis of the intersection of the row lattices of A and B.
 
@@ -577,11 +503,6 @@ class RowSpan:
         return all(row[i] == 1 for i, row in enumerate(h.entries[: len(nonzero)]))
 
 
-def lattice_contains(basis: IntMatrix, vector) -> bool:
-    """Whether the integer row vector lies in the row span of ``basis``."""
-    return solve_int_rowspan(basis, vector) is not None
-
-
 def solve_int_rowspan(basis: IntMatrix, vector):
     """`RowSpan.solve` for one vector; build a RowSpan to solve many."""
     return RowSpan(basis).solve(vector)
@@ -643,10 +564,10 @@ def int_matrix_inverse(M: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # Exact rational linear algebra (tuple-of-tuples of Fraction)
 # ---------------------------------------------------------------------------
-
-
-def frac_matrix(entries):
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
+# frac_solve and frac_inv still have library callers.  frac_matmul and
+# frac_nullspace have none; they stay because perfbench/spans.py names the
+# block as the lattice.frac layer and tests use them as references.  The
+# block leaves with ROADMAP item 17 stage 2, a benchmark change (item 8).
 
 
 def frac_identity(n):

@@ -45,7 +45,6 @@ from .lattice import (
     lattice_intersection,
     lattice_shell,
     prime_factors,
-    right_kernel,
     solution_sublattice,
     vstack,
 )
@@ -53,7 +52,6 @@ from .tori import (
     TorusMorphism,
     mu_tau,
     norm_morphism,
-    subtorus_from_char_surjection,
     torus_of_field,
 )
 
@@ -199,7 +197,13 @@ class SymplecticSpace:
             pos += s.degree
         return out
 
+    def _check_length(self, coords):
+        if len(coords) != self.dim:
+            raise ValueError("vector length mismatch")
+
     def psi(self, x, y) -> Fraction:
+        self._check_length(x)
+        self._check_length(y)
         acc = Fraction(0)
         for i, row in enumerate(self.gram):
             xi = Fraction(x[i])
@@ -210,6 +214,7 @@ class SymplecticSpace:
         return acc
 
     def in_lattice(self, coords) -> bool:
+        self._check_length(coords)
         return all(Fraction(c).denominator == 1 for c in coords)
 
     def multiplication_element(self, elements) -> "GSpElement":
@@ -404,6 +409,7 @@ class GSpElement:
         )
 
     def apply(self, coords):
+        self.space._check_length(coords)
         return tuple(
             sum(x * Fraction(c) for x, c in zip(row, coords)) / self.den for row in self.num
         )
@@ -525,36 +531,6 @@ def _rescaled_space(space: SymplecticSpace, q: int) -> SymplecticSpace:
 # ---------------------------------------------------------------------------
 # The rational-similitude subtorus
 # ---------------------------------------------------------------------------
-
-
-def similitude_subtorus(E: FieldHandle):
-    """Subtorus of T^E of points with x·x^ι rational, with its inclusion.
-
-    Characters of the quotient torus T^E -> T^F/G_m pull back to the
-    annihilator of the subtorus; the character lattice of the subtorus is
-    the corresponding saturated quotient of X^*(T^E).
-    """
-    ok, _ = is_cm(E)
-    if not ok:
-        raise ValueError("the similitude subtorus needs a CM field")
-    te = torus_of_field(E)
-    pulled = _annihilator_rows(E)
-    if pulled:
-        surjection = right_kernel(IntMatrix(pulled))
-    else:
-        surjection = IntMatrix.identity(E.degree)
-    name = f"similitude({E.name or '?'})"
-    sub = subtorus_from_char_surjection(te, surjection, name=name)
-    inclusion = TorusMorphism(sub, te, surjection, name="incl")
-    return sub, inclusion
-
-
-def similitude_norm(x: CyclotomicElement):
-    """x·x^ι as a rational number, or None when it leaves Q."""
-    value = x * x.conjugate()
-    if not value.is_rational():
-        return None
-    return value.rational_value()
 
 
 def _annihilator_rows(E: FieldHandle) -> list:

@@ -23,7 +23,6 @@ from .lattice import (
     GModuleLattice,
     IntMatrix,
     RowSpan,
-    cokernel,
     hermite_normal_form,
 )
 
@@ -112,8 +111,15 @@ class TorusMorphism:
         return Cocharacter(self.target, self.char_map.act_on_row(chi.vector))
 
     def is_injective(self) -> bool:
-        """Injectivity of the torus morphism = surjectivity on characters."""
-        return cokernel(self.char_map.transpose()).is_trivial()
+        """Injectivity of the torus morphism = surjectivity on characters.
+
+        The characters pulled back from the target span the row lattice of
+        the transposed character map, and that lattice is all of X^*(source)
+        exactly when the nonzero rows of its Hermite form are the identity.
+        """
+        h, _ = hermite_normal_form(self.char_map.transpose())
+        nonzero = tuple(row for row in h.entries if any(row))
+        return nonzero == IntMatrix.identity(self.source.rank).entries
 
     def is_surjective(self) -> bool:
         """Surjectivity of the torus map = injectivity on characters."""
@@ -135,10 +141,6 @@ def matrix_rank(m: IntMatrix) -> int:
     """Rank of an integer matrix: the number of nonzero rows of its HNF."""
     h, _ = hermite_normal_form(m)
     return sum(1 for row in h.entries if any(row))
-
-
-def identity_morphism(t: Torus) -> TorusMorphism:
-    return TorusMorphism(t, t, IntMatrix.identity(t.rank), name="id")
 
 
 class Cocharacter:
@@ -278,32 +280,3 @@ def quotient_torus(t: Torus, char_sublattice: IntMatrix | RowSpan, name=""):
     q = Torus(t.scenario, lattice, tuple(b.entries), name=name)
     proj = TorusMorphism(t, q, b.transpose(), name=f"π→{name}" if name else "π")
     return q, proj
-
-
-def subtorus_from_char_surjection(t: Torus, surjection: IntMatrix, name="") -> Torus:
-    """Subtorus of t whose characters are the given quotient of X^*(t).
-
-    ``surjection`` maps X^*(t) onto Z^k (rows = k); the subtorus has
-    character lattice Z^k with the induced action.  The matrix must be
-    surjective over Z, otherwise the would-be subtorus is not of
-    multiplicative type and the call is rejected.
-    """
-    k = surjection.rows
-    if surjection.cols != t.rank:
-        raise ValueError("surjection has wrong source rank")
-    if cokernel(surjection.transpose()).invariant_factors != tuple():
-        raise ValueError("character map is not surjective over Z")
-    span = RowSpan(surjection)
-    action = {}
-    for g in t.scenario.elements:
-        # induced action A_g on Z^k satisfies A_g · S = S · act(sigma).
-        rhs = surjection * t.act(g)
-        rows = []
-        for i in range(k):
-            coeffs = span.solve(rhs.row(i))
-            if coeffs is None:
-                raise ValueError(f"quotient action undefined at {g!r}")
-            rows.append(coeffs)
-        action[g] = IntMatrix(rows)
-    lattice = GModuleLattice(k, action)
-    return Torus(t.scenario, lattice, tuple(range(k)), name=name)

@@ -37,7 +37,7 @@ from cmforge.arith import (
 from cmforge.bc import build_params, sample_arrow, sample_unit_residue
 from cmforge.cm import cyclotomic_level
 from cmforge.cyclotomic import CyclotomicElement
-from cmforge.galois import c2_s3_scenario, cyclotomic_scenario, d4_scenario, load_scenario
+from cmforge.galois import GaloisScenario, c2_s3_scenario, cyclotomic_scenario, d4_scenario
 from cmforge.lattice import common_denominator, frac_inv
 from cmforge.modular import j_oracle
 from cmforge.symplectic import gsp_realization, sample_integral_symplectic
@@ -100,12 +100,12 @@ def test_cyclotomic_level_reads_the_conductor():
     for scenario in (c2_s3_scenario(), d4_scenario()):
         with pytest.raises(ValueError, match="no cyclotomic realization"):
             cyclotomic_level(scenario)
-    assert load_scenario({"cyclotomic_n": 7}).conductor == 7
-    assert cyclotomic_level(load_scenario({"cyclotomic_n": 7})) == 7
+    assert cyclotomic_scenario(7).conductor == 7
+    assert cyclotomic_level(cyclotomic_scenario(7)) == 7
     # a hand-written table is not cyclotomic, whatever its name says
     z5 = cyclotomic_scenario(5)
-    table = {f"{a},{b}": z5.multiply(a, b) for a in z5.elements for b in z5.elements}
-    copy = load_scenario({"group_table": table, "iota": "4", "name": "cyclotomic-5"})
+    table = {(a, b): z5.multiply(a, b) for a in z5.elements for b in z5.elements}
+    copy = GaloisScenario(z5.elements, table, "4", name="cyclotomic-5")
     assert copy.conductor is None
     with pytest.raises(ValueError, match="no cyclotomic realization"):
         cyclotomic_level(copy)

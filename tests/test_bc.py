@@ -38,7 +38,6 @@ from cmforge.bc import (
     builtin_ring,
     convolve,
     delta_units,
-    element_from_arrow,
     idele_norm_exponents,
     involution,
     kms_state_labels,
@@ -54,7 +53,7 @@ from cmforge.bc import (
     time_evolution,
 )
 from cmforge.cyclotomic import CyclotomicElement, cyclotomic_polynomial
-from cmforge.lattice import IntMatrix, hermite_normal_form, lattice_contains, vstack
+from cmforge.lattice import IntMatrix, hermite_normal_form, solve_int_rowspan, vstack
 
 
 def _field(ring, coords):
@@ -653,7 +652,7 @@ def test_equals_matches_full_refinement(level, request):
 
 
 def _brute_split(params, labels, mask):
-    stab = params.stabilizer_image(mask)
+    stab = params.saturate_coset((params.shimura.identity,), mask)
     remaining = set(labels)
     pieces = []
     while remaining:
@@ -674,7 +673,7 @@ def test_coset_tables_match_brute_force(level, request):
     one = sh.residues.one()
     unsaturated = 0
     for mask in itertools.product((False, True), repeat=len(params.places)):
-        # the stabilizer image, with membership by lattice_contains
+        # the stabilizer image, with membership by a solve in the lattice
         conductor = CyclotomicElement.one(params.ring.cyclo_n)
         for exact, place in zip(mask, params.places):
             if exact and place.m_valuation:
@@ -683,9 +682,9 @@ def test_coset_tables_match_brute_force(level, request):
         h, _ = hermite_normal_form(vstack(rows, sh.residues.lattice))
         stab = {
             label for u, label in sh._class_of.items()
-            if lattice_contains(h, [a - b for a, b in zip(u, one)])
+            if solve_int_rowspan(h, [a - b for a, b in zip(u, one)]) is not None
         }
-        assert params.stabilizer_image(mask) == stab
+        assert set(params.saturate_coset((sh.identity,), mask)) == stab
         subsets = [(w,) for w in sh.labels] + [sh.labels]
         subsets += [tuple(rng.sample(sh.labels, rng.randint(1, len(sh))))
                     for _ in range(8)]
@@ -993,7 +992,7 @@ def _coset_matches(params, key, rho_elem, w):
     lattice_rows = IntMatrix(ring.coord_rows(_coords(exact_m)))
     h, _ = hermite_normal_form(vstack(lattice_rows, sh.residues.lattice))
     for u in sh._class_of:
-        if lattice_contains(h, _coords(_field(ring, u) - gamma)):
+        if solve_int_rowspan(h, _coords(_field(ring, u) - gamma)) is not None:
             return sh.mult(w, sh._class_of[u]) in key.wcoset
     raise AssertionError("no unit matches the transporter at the exact part")
 
@@ -1197,7 +1196,7 @@ def test_state_values_on_concrete_arrows(params_qi):
     arrow = GroupoidArrow(
         params_qi, (1, 0), (0, 0, 0, 0), (1, 0), "w1"
     )
-    f = element_from_arrow(arrow)
+    f = AlgebraElement(params_qi, {arrow.orbit_key(): Coefficient.one()})
     assert kms_state_value(f, "w1") == Coefficient.one()
     assert kms_state_value(f, "w0") == Coefficient.zero()
 
@@ -1389,6 +1388,14 @@ def test_partition_rejects_small_beta(params_q):
         partition_function(params_q, 1, 10)
     with pytest.raises(ValueError):
         partition_function(params_q, Fraction(1, 2), 10)
+
+
+def test_partition_rejects_bound_below_one(params_q, params_qi):
+    for params in (params_q, params_qi):
+        for bound in (0, -5):
+            with pytest.raises(ValueError, match="bound >= 1"):
+                partition_function(params, 2, bound)
+    assert partition_function(params_q, 2, 1)["ideal_count"] == 1
 
 
 def test_partition_quintic_tail_domain():

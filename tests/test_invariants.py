@@ -3,16 +3,18 @@
 Bare ``assert`` statements vanish under -O, so every correctness check in
 ``cmforge`` is an explicit ``raise``, and a ``python -O`` run checks that
 the checks still fire.  No module keeps a top-level import it never reads
-(no linter runs in CI, so this test stands in for one), and no function
-keeps a parameter its body never reads.  Every console script declared
-in pyproject.toml must point at a function that exists, and so must every
-callable that the benchmark tracer in perfbench/spans.py wraps.
+(no linter runs in CI, so this test stands in for one), no function keeps
+a parameter its body never reads, and no public definition is reached by
+tests alone.  Every console script declared in pyproject.toml must point
+at a function that exists, and so must every callable that the benchmark
+tracer in perfbench/spans.py wraps.
 """
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +95,93 @@ def test_library_reads_every_parameter():
         for name, line, param in _unread_parameters(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+BENCHMARK_SOURCES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+# Public top-level definitions that no library path and no benchmark
+# reaches, and why each stays.
+ALLOWED = {
+    "reflex_norm_closed_form": "oracle: tests compare reflex_norm with norm ∘ restriction",
+    "embed_under_all": "oracle: tests embed the reflex determinant to compare realize_on_point",
+    "reflex_determinant_oracle": "oracle: tests compare the realized reflex norm with it",
+    "lemmacomp_check": "oracle: norm ∘ restriction factors through the reflex field",
+    "gsp_realization": "oracle: tests compare CMContext.realize with this rational path",
+    "time_evolution": "ROADMAP item 10, KMS states at finite temperature",
+    "symmetry_action": "ROADMAP item 2, the symmetry check of property_v_vi_report",
+    "eisenstein_value": "ROADMAP item 2, g2 and g3 for the level-m oracle",
+    "character_map_report": "ROADMAP item 7, a report the command line should print",
+    "delta_units": "the unit of the convolution",
+}
+
+
+def _references(node):
+    """Names a node refers to: identifiers, attribute names, imported names
+    and the entries of an ``__all__`` list.  No other string counts, so a
+    name that only a docstring mentions is not referred to."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in sub.targets
+        ):
+            found.update(elt.value for elt in sub.value.elts)
+    return found
+
+
+def _public_definitions():
+    """(module, name, referred to from outside its own body) of every public
+    top-level def or class of cmforge."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    referrers = {}
+    for module, tree in trees.items():
+        for index, stmt in enumerate(tree.body):
+            for name in _references(stmt):
+                referrers.setdefault(name, set()).add((module, index))
+    return [
+        (module, stmt.name, bool(referrers.get(stmt.name, set()) - {(module, index)}))
+        for module, tree in trees.items()
+        for index, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+    ]
+
+
+def _benchmark_names():
+    """Every identifier in the benchmark's code or strings, so the layer
+    tables of perfbench/spans.py count."""
+    names = set()
+    for path in BENCHMARK_SOURCES:
+        tree = ast.parse(path.read_text())
+        names |= _references(tree)
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names.update(re.findall(r"[A-Za-z_]\w*", sub.value))
+    return names
+
+
+def test_every_public_definition_is_reached():
+    """A public top-level def or class of cmforge must be referred to by
+    other library code, be named by the benchmark, or be on ALLOWED with
+    its reason; code that only tests reach fails here.  Every allowed name
+    must still exist and still need its exemption."""
+    assert BENCHMARK_SOURCES
+    definitions = _public_definitions()
+    bench = _benchmark_names()
+    reached = {name for _, name, in_library in definitions if in_library or name in bench}
+    unreached = sorted(
+        "%s.%s" % (module, name)
+        for module, name, _ in definitions
+        if name not in reached and name not in ALLOWED
+    )
+    assert not unreached, "reached by tests alone: " + ", ".join(unreached)
+    defined = {name for _, name, _ in definitions}
+    assert not set(ALLOWED) - defined, "allowed but gone: %s" % sorted(set(ALLOWED) - defined)
+    assert not set(ALLOWED) & reached, "allowed but reached: %s" % sorted(set(ALLOWED) & reached)
 
 
 def test_declared_scripts_resolve():

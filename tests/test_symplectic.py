@@ -26,8 +26,6 @@ from cmforge.symplectic import (
     sample_adelic_gsp,
     sample_integral_symplectic,
     sample_local_similitude,
-    similitude_norm,
-    similitude_subtorus,
     standard_j,
     totally_imaginary_generator,
 )
@@ -133,24 +131,18 @@ def test_zeta5_integral_basis(z5_field):
             assert rescaled.psi(x, y) == j[a][b]
 
 
-# -- The rational-similitude subtorus ------------------------------------------
-
-
-def test_similitude_subtorus_ranks(qi_field, z5_field):
-    sub4, incl4 = similitude_subtorus(qi_field)
-    sub5, incl5 = similitude_subtorus(z5_field)
-    assert sub4.rank == 2
-    assert sub5.rank == 3
-    assert incl4.is_injective()
-    assert incl5.is_injective()
-
-
-def test_similitude_norm_membership():
-    zeta = CyclotomicElement.zeta(5, 1)
-    assert similitude_norm(zeta) == 1
-    assert similitude_norm(zeta + CyclotomicElement.one(5)) is None
-    three = CyclotomicElement.from_rational(5, 3)
-    assert similitude_norm(three) == 9
+def test_vectors_of_the_wrong_length_are_refused(qi_field):
+    space = build_symplectic_space([qi_field])
+    g = GSpElement.identity(space)
+    assert g.apply((1, 0)) == (1, 0)
+    assert space.in_lattice((1, 0))
+    for bad in ((1,), (1, 0, 5), ()):
+        for call in (lambda: g.apply(bad), lambda: space.in_lattice(bad),
+                     lambda: space.psi(bad, (0, 1)), lambda: space.psi((0, 1), bad)):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                call()
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        space.psi((1, 0, 5), (0, 1, 7))
 
 
 # -- Similitude matrices --------------------------------------------------------

@@ -3,15 +3,16 @@
 import pytest
 
 from cmforge.galois import builtin_scenario
-from cmforge.lattice import IntMatrix
+import random
+
+from cmforge.lattice import GModuleLattice, IntMatrix, smith_normal_form
 from cmforge.tori import (
     Cocharacter,
+    Torus,
     TorusMorphism,
-    identity_morphism,
     mu_tau,
     norm_morphism,
     quotient_torus,
-    subtorus_from_char_surjection,
     torus_of_field,
 )
 
@@ -174,18 +175,58 @@ def test_quotient_rejects_unstable_sublattice(z5):
         quotient_torus(t, IntMatrix([[1, 0, 0, 0]]))
 
 
-def test_subtorus_from_norm_character(z5):
-    t = torus_of_field(z5.ambient_field())
-    s = subtorus_from_char_surjection(t, IntMatrix([[1, 1, 1, 1]]))
-    assert s.rank == 1
-    for g in z5.elements:
-        assert s.act(g) == IntMatrix.identity(1)
+def smith_factors(char_map):
+    """The nonzero Smith diagonal of the transposed character map, whose row
+    span is the characters pulled back from the target."""
+    _, d, _ = smith_normal_form(char_map.transpose())
+    return [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
 
 
-def test_subtorus_rejects_non_surjective_character_map(qi):
-    t = torus_of_field(qi.ambient_field())
-    with pytest.raises(ValueError, match="surjective"):
-        subtorus_from_char_surjection(t, IntMatrix([[1, 1], [1, -1]]) * IntMatrix([[1, 0], [0, 2]]))
+def smith_injective(char_map):
+    """Reference for `is_injective`: the pulled-back characters fill
+    X^*(source) exactly when every invariant factor is 1 and the rank is
+    the source rank."""
+    factors = smith_factors(char_map)
+    return all(x == 1 for x in factors) and len(factors) == char_map.rows
+
+
+def test_injectivity_matches_smith_diagonal_randomized(qi):
+    """Random character maps between tori with the trivial action, so every
+    map is equivariant: empty sources and targets, rank-deficient maps built
+    through a narrow inner dimension, and full-rank maps of index above 1."""
+    rng = random.Random(41)
+
+    def trivial_torus(rank):
+        lattice = GModuleLattice(rank, {g: IntMatrix.identity(rank) for g in qi.elements})
+        return Torus(qi, lattice, tuple(range(rank)))
+
+    seen = set()
+    for trial in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        if trial % 3 == 0 and rows and cols:  # rank deficient through a narrow middle
+            inner = rng.randint(1, min(rows, cols)) - 1
+            a = IntMatrix([[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)])
+            b = IntMatrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)])
+            char_map = a * b if inner else IntMatrix.zero(rows, cols)
+        elif rows:
+            char_map = IntMatrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+        else:
+            char_map = IntMatrix.zero(0, cols)
+        phi = TorusMorphism(trivial_torus(rows), trivial_torus(cols), char_map)
+        assert phi.is_injective() is smith_injective(char_map), char_map
+        factors = smith_factors(char_map)
+        if not rows:
+            seen.add("empty source")
+        elif not cols:
+            seen.add("empty target")
+        elif len(factors) < rows:
+            seen.add("rank deficient")
+        elif any(x > 1 for x in factors):
+            seen.add("full rank, index above 1")
+        else:
+            seen.add("injective")
+    assert seen == {"empty source", "empty target", "rank deficient",
+                    "full rank, index above 1", "injective"}
 
 
 def test_injectivity_matches_cokernel_triviality(qi, z5):
@@ -194,16 +235,19 @@ def test_injectivity_matches_cokernel_triviality(qi, z5):
     # the norm T^K -> T^Q = Gm is surjective but far from injective
     assert not n.is_injective()
     assert n.is_surjective()
+    assert n.is_injective() is smith_injective(n.char_map)
     t = torus_of_field(qi.ambient_field())
-    assert identity_morphism(t).is_injective()
-    assert identity_morphism(t).is_surjective()
+    identity = TorusMorphism(t, t, IntMatrix.identity(t.rank))
+    assert identity.is_injective()
+    assert identity.is_surjective()
+    assert smith_injective(identity.char_map)
 
 
 def test_morphism_composition_identity_laws(z5):
     k = z5.ambient_field()
     n = norm_morphism(k, z5.rational_field())
-    assert n.compose(identity_morphism(n.source)) == n
-    assert identity_morphism(n.target).compose(n) == n
+    assert n.compose(TorusMorphism(n.source, n.source, IntMatrix.identity(n.source.rank))) == n
+    assert TorusMorphism(n.target, n.target, IntMatrix.identity(n.target.rank)).compose(n) == n
 
 
 def test_cocharacter_pushforward_along_norm(c2s3):
