@@ -178,13 +178,18 @@ class ResidueRing:
     The modulus, the residues and `primes`, a generator of every prime
     ideal P dividing the modulus, each once, are coordinate tuples.  Every
     divisibility question about a residue is one reduction against the
-    ring's table of Hermite forms of P^k + (modulus), keyed by (prime
-    index, k) and built on first use.  x is a unit exactly when no
-    listed P contains it: O is Dedekind, so x·O + (modulus) = O unless a
-    maximal ideal holds both, and those holding the modulus are the primes.
+    Hermite form of P^k + (modulus).  O is Dedekind, so that sum is
+    P^min(k, v_P(modulus)), and the form is the ring-level lattice of
+    `_prime_power_lattice`, cached per (ring, prime, k) and sound for the
+    same reason as `_prime_generators`: it is a function of its arguments.
+    Each ring keeps the forms it has read in a table keyed by (prime
+    index, k).  x is a unit exactly when no listed P contains it:
+    x·O + (modulus) = O unless a maximal ideal holds both, and those
+    holding the modulus are the primes.
     """
 
-    __slots__ = ("ring", "modulus", "primes", "lattice", "size", "_one", "_prime_forms")
+    __slots__ = ("ring", "modulus", "primes", "lattice", "size", "_one", "_valuations",
+                 "_prime_forms")
 
     def __init__(self, ring: RingData, modulus, primes):
         self.ring = ring
@@ -197,19 +202,19 @@ class ResidueRing:
         for i in range(h.rows):
             size *= h.entries[i][i]
         self.size = size
-        self.primes = tuple(primes)
+        self.primes = tuple(map(tuple, primes))
         self._one = self.reduce((1,) + (0,) * (ring.degree - 1))
-        self._prime_forms = {}
-        if any(self.in_prime_power(self._one, i, 1) for i in range(len(self.primes))):
+        self._valuations = tuple(_valuation(ring, p, self.modulus) for p in self.primes)
+        if 0 in self._valuations:
             raise ValueError("a listed prime does not divide the modulus")
+        self._prime_forms = {}
 
     def prime_power_form(self, index: int, k: int) -> IntMatrix:
-        """Hermite form of P^k + (modulus) for P = primes[index]."""
+        """Hermite form of P^k + (modulus) = P^min(k, v_P(modulus)), P = primes[index]."""
         form = self._prime_forms.get((index, k))
         if form is None:
-            power = self.ring.coord_rows(self.power(self.primes[index], k))
-            form, _ = hermite_normal_form(vstack(IntMatrix(power), self.lattice))
-            self._prime_forms[(index, k)] = form
+            form = self._prime_forms[(index, k)] = _prime_power_lattice(
+                self.ring, self.primes[index], min(k, self._valuations[index]))
         return form
 
     def in_prime_power(self, coords, index: int, k: int) -> bool:
@@ -274,15 +279,14 @@ class PrimeData:
         self.class_label = None
 
 
-def _rational_primes(bound: int) -> List[int]:
-    sieve = [True] * (bound + 1)
-    out = []
-    for n in range(2, bound + 1):
+@lru_cache(maxsize=None)
+def _rational_primes(bound: int) -> Tuple[int, ...]:
+    """The primes up to bound, by a sieve; cached per bound."""
+    sieve = bytearray([1]) * (bound + 1)
+    for n in range(2, math.isqrt(bound) + 1):
         if sieve[n]:
-            out.append(n)
-            for k in range(n * n, bound + 1, n):
-                sieve[k] = False
-    return out
+            sieve[n * n::n] = bytes(len(range(n * n, bound + 1, n)))
+    return tuple(n for n in range(2, bound + 1) if sieve[n])
 
 
 def _splitting_data(ring: RingData, p: int) -> Tuple[int, int]:
@@ -380,6 +384,31 @@ def _prime_generators(ring: RingData, p: int, f: int) -> Tuple[Tuple[int, ...], 
         ))
     torsion = [ring.coord_rows(u) for u in ring.torsion_units()]
     return tuple(max(ring.times_rows(x, rows) for rows in torsion) for _, x in sorted(firsts))
+
+
+@lru_cache(maxsize=None)
+def _prime_power_lattice(ring: RingData, prime, k: int) -> IntMatrix:
+    """Hermite form of the ideal P^k = (pi^k), P = (pi) given by its coordinates.
+
+    pi^k is formed in O, and the rows of its multiplication matrix span
+    the ideal.  The result is cached per (ring, prime, k), which is sound
+    because it is a function of its arguments: every residue ring of the
+    ring reads the same lattice.
+    """
+    rows = ring.coord_rows(prime)
+    power = (1,) + (0,) * (ring.degree - 1)
+    for _ in range(k):
+        power = ring.times_rows(power, rows)
+    return hermite_normal_form(IntMatrix(ring.coord_rows(power)))[0]
+
+
+def _valuation(ring: RingData, prime, coords) -> int:
+    """v_P(x) for a prime P = (pi) and a nonzero x, both as coordinates:
+    the largest k with x in the lattice of P^k."""
+    k = 0
+    while not any(hnf_reduce(_prime_power_lattice(ring, prime, k + 1), coords)[1]):
+        k += 1
+    return k
 
 
 def prime_window(ring: RingData, bound: int) -> List[PrimeData]:
@@ -553,7 +582,7 @@ class FiniteLevelParams:
                 working = ring.times_rows(working, rows)
         for place in self.places:
             # P divides m only if its rational prime divides N(m)
-            place.m_valuation = self._valuation_of(m, place.coords) if norm % place.p == 0 else 0
+            place.m_valuation = _valuation(ring, place.coords, m) if norm % place.p == 0 else 0
         self.residues = ResidueRing(ring, working, [q.coords for q in self.places])
         self.shimura = ShimuraSet(ring, m, [q.coords for q in self.places if q.m_valuation])
         for place in self.places:
@@ -572,21 +601,9 @@ class FiniteLevelParams:
             for gen in _prime_generators(self.ring, p, f):
                 if any(gen == q.coords for q in window):
                     continue
-                place = PrimeData(gen, p ** f, p, f)
-                if self._valuation_of(m, place.coords):
-                    out.append(place)
+                if _valuation(self.ring, gen, m):
+                    out.append(PrimeData(gen, p ** f, p, f))
         return out
-
-    def _valuation_of(self, coords, prime) -> int:
-        """Exponent of the prime element in the nonzero x, both as coordinates:
-        x / pi = q·U when x = q·H against the form U·rows(pi) = H."""
-        h, u = hermite_normal_form(IntMatrix(self.ring.coord_rows(prime)))
-        v = 0
-        while True:
-            q, r = hnf_reduce(h, coords)
-            if any(r):
-                return v
-            coords, v = u.act_on_row(q), v + 1
 
     # -- local valuations of working residues -------------------------------
 
@@ -1458,6 +1475,7 @@ def _ideal_norms_qi(bound: int):
 
 
 def _prime_ideal_norms(ring: RingData, bound: int) -> List[int]:
+    """The norms of the prime ideals up to bound, in the order of their rational primes."""
     out = []
     for p in _rational_primes(bound):
         f, g = _splitting_data(ring, p)
@@ -1475,6 +1493,59 @@ def _ideal_norms_sieve(ring: RingData, bound: int) -> List[int]:
         for n in range(q, bound + 1, q):
             counts[n] += counts[n // q]
     return counts
+
+
+@lru_cache(maxsize=None)
+def _partition_norms(ring: RingData, bound: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The ideal norms up to bound in enumeration order, one per ideal, and
+    the prime ideal norms in prime order; see `partition_function`.
+
+    Cached per (ring, bound): both are functions of the ring and the bound
+    alone, and `builtin_ring` hands out one immutable RingData per field.
+    """
+    if ring.name == "Q":
+        norms = tuple(_ideal_norms_q(bound))
+    elif ring.name == "Q(i)":
+        norms = tuple(_ideal_norms_qi(bound))
+    else:
+        counts = _ideal_norms_sieve(ring, bound)
+        norms = tuple(n for n, c in enumerate(counts) for _ in range(c))
+    return norms, tuple(_prime_ideal_norms(ring, bound))
+
+
+@lru_cache(maxsize=None)
+def _exact_sum_groups(ring: RingData, bound: int):
+    """The ideal counts up to bound grouped by their large prime factor.
+
+    Returns (small_lcm, cofactors, groups).  A prime is large when its
+    square exceeds the bound, so a norm n <= bound holds at most one large
+    prime P, to the first power; n = s·P with P = 1 when there is none.
+    small_lcm is the product of the largest powers p^e <= bound of the
+    small primes, so every cofactor s divides it.  cofactors lists the
+    distinct s in increasing order, and groups lists (P, ((s, c_n), ...))
+    for P = 1 and then every large prime in increasing order, with an
+    empty tuple when no norm has that factor.  Cached per (ring, bound),
+    like `_partition_norms`.
+    """
+    root = math.isqrt(bound)
+    small_lcm = 1
+    large = []
+    for p in _rational_primes(bound):
+        if p > root:
+            large.append(p)
+            continue
+        power = p
+        while power * p <= bound:
+            power *= p
+        small_lcm *= power
+    factor = [1] * (bound + 1)
+    for p in large:
+        factor[p::p] = [p] * (bound // p)
+    groups = {p: [] for p in [1] + large}
+    for n, c in sorted(collections.Counter(_partition_norms(ring, bound)[0]).items()):
+        groups[factor[n]].append((n // factor[n], c))
+    cofactors = tuple(sorted({s for pairs in groups.values() for s, _ in pairs}))
+    return small_lcm, cofactors, tuple((p, tuple(pairs)) for p, pairs in groups.items())
 
 
 @lru_cache(maxsize=None)
@@ -1524,53 +1595,60 @@ def partition_function(
     Enumeration is per ideal for Q (the integers) and for Q(i) (one
     quadrant representative per Gaussian ideal).  For the quartic field a
     multiplicative sieve over the prime ideal norms gives the count c_n of
-    ideals of each norm n, and the float sum adds the term of n c_n times,
-    norms in increasing order; there the two methods share the prime list,
-    which is recorded in the report.  The float sum adds the terms in
-    enumeration order and the Euler product multiplies its factors in
-    prime order, so both floats depend on these orders alone.
+    ideals of each norm n, and each norm is listed c_n times, in
+    increasing order; there the two methods share the prime list, which is
+    recorded in the report.  The float sum adds the terms in enumeration
+    order and the Euler product multiplies its factors in prime order, so
+    both floats depend on these orders alone.  The norm lists depend on
+    the ring and the bound alone and are cached per pair (see
+    `_partition_norms`); nothing is cached per beta.
 
     The exact rational sum is formed only for integer beta = k and norms
-    up to 2000.  Every norm n <= bound divides L = lcm(1, ..., bound), the
-    product of the largest powers p^e <= bound, so the sum is one Fraction
-    over D = L^k: the numerator is the sum of c_n * (D // n^k) over the
-    distinct norms n with c_n ideals each, and Fraction reduces it once.
+    up to 2000.  Every norm n <= bound divides L = lcm(1, ..., bound), so
+    the sum is one Fraction over D = L^k, which Fraction reduces once.
+    Write L = L_s·L_l, with L_l the product of the large primes (those
+    whose square exceeds the bound), and n = s·P with P the one large
+    prime factor of n, or 1 (see `_exact_sum_groups`).  Then D / n^k =
+    (L_s / s)^k·(L_l / P)^k, so the numerator is the sum over P of
+    (L_l / P)^k·S_P, where S_P sums c_n·(L_s / s)^k over the norms n = s·P,
+    integers far smaller than D.  A product tree over the leaves (P^k,
+    S_P) forms it with no division: two nodes (Pi_A, S_A) and (Pi_B, S_B)
+    combine to (Pi_A·Pi_B, S_A·Pi_B + S_B·Pi_A), and the root holds
+    (L_l^k, numerator).  No step assumes that c_n is multiplicative.
     """
-    beta_f = Fraction(beta)
+    try:
+        beta_f = Fraction(beta)
+    except (OverflowError, ValueError):
+        raise ValueError("the partition function requires a finite beta > 1, got %r"
+                         % (beta,)) from None
     if beta_f <= 1:
         raise ValueError("the partition function requires beta > 1")
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise ValueError("the partition function requires an integer bound, got %r"
+                         % (bound,)) from None
     if bound < 1:
         raise ValueError("the partition function requires bound >= 1")
-    name = params.ring.name
+    norms, prime_norms = _partition_norms(params.ring, bound)
     float_beta = float(beta_f)
     total = 0.0
-    if name in ("Q", "Q(i)"):
-        norms = list(_ideal_norms_q(bound) if name == "Q" else _ideal_norms_qi(bound))
-        for n in norms:
-            total += float(n) ** (-float_beta)
-        counted = collections.Counter(norms).items()
-        independent = True
-    else:
-        counts = _ideal_norms_sieve(params.ring, bound)
-        counted = [(n, c) for n, c in enumerate(counts) if c]
-        for n, c in counted:
-            term = float(n) ** (-float_beta)
-            for _ in range(c):
-                total += term
-        independent = False
+    for n in norms:
+        total += float(n) ** (-float_beta)
     exact = None
     if bound <= 2000 and beta_f.denominator == 1:
         k = int(beta_f)
-        lcm = 1
-        for p in _rational_primes(bound):
-            power = p
-            while power * p <= bound:
-                power *= p
-            lcm *= power
-        den = lcm ** k
-        exact = Fraction(sum(c * (den // n ** k) for n, c in counted), den)
+        small_lcm, cofactors, groups = _exact_sum_groups(params.ring, bound)
+        weights = {s: (small_lcm // s) ** k for s in cofactors}
+        level = [(p ** k, sum(c * weights[s] for s, c in pairs)) for p, pairs in groups]
+        while len(level) > 1:
+            merged = [(pa * pb, sa * pb + sb * pa)
+                      for (pa, sa), (pb, sb) in zip(level[::2], level[1::2])]
+            level = merged + level[2 * len(merged):]
+        large_power, numerator = level[0]
+        exact = Fraction(numerator, small_lcm ** k * large_power)
     euler = 1.0
-    for q in _prime_ideal_norms(params.ring, bound):
+    for q in prime_norms:
         euler *= 1.0 / (1.0 - float(q) ** (-float_beta))
     return {
         "exact": exact,
@@ -1578,6 +1656,6 @@ def partition_function(
         "euler": euler,
         "tail_bound": partition_tail_bound(params, beta_f, bound),
         "reference": partition_reference(params, beta_f),
-        "ideal_count": sum(c for _, c in counted),
-        "methods_independent": independent,
+        "ideal_count": len(norms),
+        "methods_independent": params.ring.name in ("Q", "Q(i)"),
     }

@@ -53,7 +53,7 @@ from cmforge.bc import (
     time_evolution,
 )
 from cmforge.cyclotomic import CyclotomicElement, cyclotomic_polynomial
-from cmforge.lattice import IntMatrix, hermite_normal_form, solve_int_rowspan, vstack
+from cmforge.lattice import IntMatrix, hermite_normal_form, hnf_reduce, solve_int_rowspan, vstack
 
 
 def _field(ring, coords):
@@ -266,6 +266,15 @@ def test_prime_generators_are_cached_per_prime(name):
         assert _prime_generators(ring, p, f) is cached
 
 
+def test_rational_primes_match_trial_division():
+    for bound in list(range(301)) + [2000]:
+        primes = _rational_primes(bound)
+        assert type(primes) is tuple
+        assert primes == tuple(
+            n for n in range(2, bound + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))
+        )
+
+
 @pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(zeta5)"])
 def test_windows_share_generators_in_either_order(name):
     ring = builtin_ring(name)
@@ -408,6 +417,57 @@ def test_residue_ring_rejects_prime_off_the_modulus(params_qi):
     assert abs(_field(ring.ring, five).norm()) == 5
     with pytest.raises(ValueError, match="does not divide"):
         ResidueRing(ring.ring, ring.modulus, ring.primes + (five,))
+
+
+# (field, modulus, bound, cap): the levels whose forms tests/test_lattice.py
+# reduces against, and one over Q(zeta5)
+FORM_LEVELS = [("Q", (2,), 3, 2), ("Q(i)", (3, 0), 10, 1), ("Q(i)", (7, 0), 10, 1),
+               ("Q(zeta5)", (2, 0, 0, 0), 11, 1)]
+
+
+@pytest.mark.parametrize("level", FORM_LEVELS, ids=lambda level: "%s-%s" % level[:2])
+def test_prime_power_forms_match_stacked_forms(level):
+    field, modulus, bound, cap = level
+    params = build_params(field, modulus, bound, cap=cap)
+    ring = params.ring
+    index = {q.coords: i for i, q in enumerate(params.places)}
+    shared = {}
+    for ring_mod in (params.residues, params.shimura.residues):
+        for i, prime in enumerate(ring_mod.primes):
+            for k in range(1, params.residue_cap(index[prime]) + 2):
+                # the Hermite form of the rows of pi^k stacked on the modulus lattice
+                power = IntMatrix(ring.coord_rows(ring_mod.power(prime, k)))
+                stacked = hermite_normal_form(vstack(power, ring_mod.lattice))[0]
+                form = ring_mod.prime_power_form(i, k)
+                assert form.entries == tuple(row for row in stacked.entries if any(row))
+                # every residue ring of the ring reads one lattice per (prime, power)
+                assert shared.setdefault(form.entries, form) is form
+
+
+def _valuation_by_division(ring, coords, prime):
+    """Oracle: divide x by pi until the remainder is nonzero, x / pi = q·U
+    when x = q·H against the form U·rows(pi) = H."""
+    h, u = hermite_normal_form(IntMatrix(ring.coord_rows(prime)))
+    v = 0
+    while True:
+        q, r = hnf_reduce(h, coords)
+        if any(r):
+            return v
+        coords, v = u.act_on_row(q), v + 1
+
+
+@pytest.mark.parametrize("level", [
+    ("Q", (2,), 7, 2), ("Q", (4,), 7, 2), ("Q(i)", (3, 0), 10, 1), ("Q(i)", (2, 0), 10, 1),
+    ("Q(i)", (1, 1), 10, 1), ("Q(zeta5)", (1, -1, 0, 0), 11, 1),
+], ids=lambda level: "%s-%s" % level[:2])
+def test_m_valuation_matches_division_loop(level):
+    field, modulus, bound, cap = level
+    params = build_params(field, modulus, bound, cap=cap)
+    valuations = [q.m_valuation for q in params.places]
+    assert valuations == [
+        _valuation_by_division(params.ring, params.modulus, q.coords) for q in params.places
+    ]
+    assert any(valuations)
 
 
 def test_ray_class_counts(params_q, params_qi):
@@ -1398,6 +1458,16 @@ def test_partition_rejects_bound_below_one(params_q, params_qi):
     assert partition_function(params_q, 2, 1)["ideal_count"] == 1
 
 
+def test_partition_rejects_non_integer_bound_and_infinite_beta(params_q, params_qi):
+    for params in (params_q, params_qi):
+        for bound in (2.5, 2.0, "10"):
+            with pytest.raises(ValueError, match="integer bound"):
+                partition_function(params, 2, bound)
+        for beta in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite beta"):
+                partition_function(params, beta, 10)
+
+
 def test_partition_quintic_tail_domain():
     params = build_params("Q(zeta5)", (2, 0, 0, 0), 11, cap=1)
     low = partition_function(params, 2, 50)
@@ -1452,8 +1522,9 @@ def _exact_sum_by_ideal(ring, k, bound):
 @pytest.mark.parametrize("name", sorted(PARTITION_MODULI))
 def test_partition_exact_sum_matches_per_ideal_sum(name, partition_levels):
     params = partition_levels[name]
-    for k in (2, 3, 4):
-        for bound in (2, 10, 97, 2000):
+    # bound 1 has no prime, 3 only primes with p^2 > bound, and 4 one of each kind
+    for k in (2, 3, 4, 5):
+        for bound in (1, 2, 3, 4, 10, 97, 2000):
             exact = partition_function(params, k, bound)["exact"]
             assert type(exact) is Fraction
             assert exact == _exact_sum_by_ideal(params.ring, k, bound)
